@@ -3,7 +3,6 @@ metrics, a traced run for per-layer metrics, and an output correctness check.
 
     python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
     python3 bench/run.py --workload NAME --smoke        # tiny replicate counts
-    python3 bench/run.py --pinned 3                      # the ROADMAP baseline runs
 
 Run it from the root of a checkout; it runs the CLI from `src/` there. Every
 CLI run is a fresh interpreter, one at a time, with at most two worker
@@ -11,10 +10,10 @@ threads and single-threaded BLAS. Within one benchmark run every CLI run uses
 the same (config, seed). The first, untimed run uses the other worker count
 (1 <-> 2); every later run's outputs must be byte-identical to its outputs
 (provenance `generated_at` aside). `--trace 0` times untraced CLI runs and
-fresh-interpreter set-up probes and prints the end-to-end metrics;
-`--trace 1` alternates untraced and traced runs (bench/trace_cli.py) and
-prints the per-layer metrics. The last line of standard output is the result as one JSON object.
-Scratch outputs go under `.bench_out/` in the checkout.
+prints the end-to-end metrics; `--trace 1` traces the first run for memory,
+then alternates untraced and traced runs (bench/trace_cli.py), and prints
+the per-layer metrics. The last line of standard output is the result as
+one JSON object. Scratch outputs go under `.bench_out/` in the checkout.
 """
 from __future__ import annotations
 
@@ -33,12 +32,25 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = Path(__file__).resolve().parent
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_out"
-# the console script's entry point; it also reports, on stderr, when the
-# import finished (time.perf_counter(), one clock with this process's)
-IMPORTED = "imported-at"
-CLI_SHIM = ("import sys, time; from sheetforge.cli import main; "
-            f"print('{IMPORTED}', repr(time.perf_counter()), file=sys.stderr, flush=True); "
-            "sys.exit(main())")
+# the console script's entry point; when main returns it reports, on stderr,
+# when the first sheet draw began (time.perf_counter(), one clock with this
+# process's): everything before it is set-up
+FIRST_DRAW = "first-draw-at"
+CLI_SHIM = f"""
+import sys, time
+import sheetforge.cli as cli
+import sheetforge.harness as harness
+draw, first = harness.simulate_sheet, []
+def simulate_sheet(*args, **kwargs):
+    if not first:
+        first.append(time.perf_counter())
+    return draw(*args, **kwargs)
+harness.simulate_sheet = simulate_sheet
+code = cli.main()
+if first:
+    print('{FIRST_DRAW}', repr(min(first)), file=sys.stderr, flush=True)
+sys.exit(code)
+"""
 # numpy's OpenBLAS would otherwise start up to nproc threads in every worker
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 DENSE_GRID = json.dumps({"s_points": [k / 12 for k in range(1, 13)],
@@ -55,6 +67,8 @@ class Workload:
     replicates: int
     workers: int
     smoke_overrides: tuple
+    # whether CovarianceReport.passes() must hold for a run to count as correct
+    gate_passes: bool = False
 
     def sets(self, smoke: bool) -> list:
         extra = self.smoke_overrides if smoke else (f"replicates={self.replicates}",)
@@ -65,8 +79,10 @@ WORKLOADS = {w.name: w for w in (
     Workload(
         "brownian-cov",
         "pinned baseline: sheet and theta do nearly all the work at M=256, on the 2-thread pool",
-        "covariance", "brownian-baseline", (), 500, 2,
-        ("replicates=50",)),
+        # passes() holds at R=1500 for every seed tried, with the margin it
+        # has at the preset's R=2000 (see README.md)
+        "covariance", "brownian-baseline", (), 1500, 2,
+        ("replicates=50",), gate_passes=True),
     Workload(
         "fbm-wave-cov",
         "coupled cos/sin: two theta transforms per draw, FbmVolterra rows, KS and independence"
@@ -99,11 +115,8 @@ PER_LAYER_UNITS = {
     "cli.write_ms": "ms", "trace.wall_s": "s", "trace.overhead_s": "s",
     "trace.accounted_share": "ratio",
 }
+# timed runs at least in an end-to-end run (a traced run makes one pair at least)
 MIN_SAMPLES = 3
-
-
-class BenchError(Exception):
-    """The benchmark cannot run here (no program, or a probe failed)."""
 
 
 def child_env() -> dict:
@@ -186,8 +199,8 @@ def _check_covariance_report(out: Path) -> dict:
 
 def check_outputs(out: Path) -> dict:
     """Check one CLI output directory; raise ValueError on any defect.
-    Returns the run's statistical verdicts, which are recorded but not gated:
-    at these replicate counts they fail for some seeds (see README.md)."""
+    Returns the run's statistical verdicts; the caller decides whether they
+    gate (see README.md)."""
     prov = json.loads((out / "provenance.json").read_text())
     outputs = prov["outputs"]
     if not outputs:
@@ -250,6 +263,8 @@ class Runner:
 
     def __init__(self, w: Workload, seed: int, smoke: bool, directory: Path):
         self.w, self.seed, self.smoke = w, seed, smoke
+        # smoke replicate counts are too few for the covariance verdict
+        self.gate_passes = w.gate_passes and not smoke
         self.dir = directory
         shutil.rmtree(self.dir, ignore_errors=True)
         self.dir.mkdir(parents=True)
@@ -258,13 +273,16 @@ class Runner:
         self.ref = None
         self.info = []
 
-    def cli(self, tag: str, workers: int, traced: bool = False) -> dict:
-        """One CLI run, checked against the first. Returns its sample."""
+    def cli(self, tag: str, workers: int, traced: bool = False, memory: bool = False) -> dict:
+        """One CLI run, checked against the first. Returns its sample. A
+        traced run with memory also takes the reductions' tracemalloc peak,
+        which slows them, so its times are not used."""
         out = self.dir / tag
         args = cli_args(self.w, self.seed, workers, out, self.smoke)
         if traced:
             spans = self.dir / f"{tag}.spans.json"
-            argv = [sys.executable, str(BENCH / "trace_cli.py"), str(spans),
+            argv = [sys.executable, str(BENCH / "trace_cli.py"),
+                    *(["--memory"] if memory else []), str(spans),
                     f"{self.w.name}/{self.seed}/{tag}", *args]
         else:
             argv = [sys.executable, "-c", CLI_SHIM, *args]
@@ -277,11 +295,15 @@ class Runner:
                 raise ValueError(f"exit code {run.code}")
             if not traced:
                 err = (self.dir / f"{tag}.err").read_text().splitlines()
-                stamp = next((line for line in err if line.startswith(IMPORTED)), None)
+                stamp = next((line for line in err if line.startswith(FIRST_DRAW)), None)
                 if stamp is None:
-                    raise ValueError("the entry-point shim printed no import time")
-                sample["after_import_s"] = run.end - float(stamp.split()[1])
-            self.info.append(check_outputs(out))
+                    raise ValueError("the entry-point shim printed no first-draw time")
+                sample["setup_s"] = float(stamp.split()[1]) - run.start
+            info = check_outputs(out)
+            self.info.append(info)
+            if self.gate_passes and not info["passes"]:
+                raise ValueError("CovarianceReport.passes() does not hold "
+                                 f"(max_std_deviation {info['max_std_deviation']:.3g})")
             if self.ref is None:
                 self.ref = out
             else:
@@ -294,21 +316,11 @@ class Runner:
             sample["spans"] = json.loads(spans.read_text())["spans"]
         return sample
 
-    def setup_probe(self, tag: str) -> dict:
-        """Set-up stage seconds of one fresh interpreter (bench/setup_probe.py)."""
-        argv = [sys.executable, str(BENCH / "setup_probe.py"), self.w.preset,
-                str(self.seed), *self.w.sets(self.smoke)]
-        log = self.dir / f"{tag}.log"
-        run = spawn(argv, log)
-        if run.code != 0:
-            raise BenchError(f"set-up probe failed: {log.with_suffix('.err').read_text()}")
-        return json.loads(run.stdout.strip().splitlines()[-1])
-
-    def cross_workers(self) -> None:
+    def cross_workers(self, traced: bool = False) -> dict:
         """The untimed first run, at the other worker count: every later run
-        must match its outputs."""
+        must match its outputs. Traced, it also gives the memory figures."""
         other = 1 if self.w.workers == 2 else 2
-        self.cli(f"workers{other}", other)
+        return self.cli(f"workers{other}", other, traced=traced, memory=traced)
 
     def ref_config(self) -> dict:
         return json.loads((self.ref / "provenance.json").read_text())["config"]
@@ -345,6 +357,12 @@ def self_times(spans: list) -> dict:
                 reach = b
         totals[s["name"]] = totals.get(s["name"], 0.0) + (s["end"] - s["start"]) - covered
     return totals
+
+
+def reduce_peak_mb(spans: list) -> float:
+    """The reductions' tracemalloc peak, from a run traced with memory."""
+    return max((s["peak_bytes"] for s in spans if s["name"] == "harness.reduce"),
+               default=0) / 2**20
 
 
 def layer_metrics(sample: dict, workers: int) -> dict:
@@ -394,8 +412,6 @@ def layer_metrics(sample: dict, workers: int) -> dict:
         "theta.transforms_per_draw": len(by_name.get("theta", ())) / draws,
         "approx.us_per_rep": residual * 1e6,
         "harness.reduce_ms": reduce_s * 1e3,
-        "harness.reduce_peak_mb": max(
-            (s["peak_bytes"] for s in by_name.get("harness.reduce", ())), default=0) / 2**20,
         "harness.pool_efficiency": busy / (loop_time * workers),
         "cli.write_ms": write_s * 1e3,
         "_accounted_s": interp + setup + busy / workers + reduce_s + write_s,
@@ -414,28 +430,26 @@ def keep_going(start: float, seconds: float, samples: list, last: float, minimum
 
 def run_end_to_end(r: Runner, seconds: float) -> tuple:
     minimum = 1 if r.smoke else MIN_SAMPLES
-    samples, setups = [], []
+    samples = []
     start = time.perf_counter()
     r.cross_workers()
     last = time.perf_counter()
     while keep_going(start, seconds, samples, time.perf_counter() - last, minimum):
         last = time.perf_counter()
         samples.append(r.cli(f"s{len(samples)}", r.w.workers))
-        setups.append(r.setup_probe(f"setup{len(setups)}"))
-    setup_s = [p["setup_s"] for p in setups]
-    r.info.append({"wall_s": [s["wall_s"] for s in samples], "setup_s": setup_s})
     ok = [s for s in samples if s["ok"]]
+    r.info.append({"wall_s": [s["wall_s"] for s in samples],
+                   "setup_s": [s["setup_s"] for s in ok]})
     if not ok:
         return {}, []
     walls = [s["wall_s"] for s in ok]
+    setup_s = [s["setup_s"] for s in ok]
     cfg = r.ref_config()
     runs_per_config = len(cfg["n_schedule"]) if r.w.command == "sweep" else 1
     reps = cfg["replicates"] * runs_per_config
     wall, setup = statistics.median(walls), statistics.median(setup_s)
-    # wall - setup per run: the import is timed inside the run itself, since
-    # it is the largest and noisiest part of set-up; the probes give the rest
-    rest = statistics.median(p["setup_s"] - p["import_s"] for p in setups)
-    replicate_s = statistics.median(s["after_import_s"] - rest for s in ok)
+    # set-up and the rest are split inside each run, at its first sheet draw
+    replicate_s = statistics.median(s["wall_s"] - s["setup_s"] for s in ok)
     metrics = {
         "wall_s": wall,
         "replicates_per_s": reps / replicate_s,
@@ -453,18 +467,17 @@ def run_end_to_end(r: Runner, seconds: float) -> tuple:
 
 
 def run_traced(r: Runner, seconds: float) -> tuple:
-    minimum = 1 if r.smoke else MIN_SAMPLES
     plain, traced = [], []
     start = time.perf_counter()
-    r.cross_workers()
+    ref = r.cross_workers(traced=True)
     last = time.perf_counter()
-    while keep_going(start, seconds, traced, time.perf_counter() - last, minimum):
+    while keep_going(start, seconds, traced, time.perf_counter() - last, 1):
         last = time.perf_counter()
         plain.append(r.cli(f"s{len(plain)}", r.w.workers))
         traced.append(r.cli(f"t{len(traced)}", r.w.workers, traced=True))
     plain = [s for s in plain if s["ok"]]
     traced = [s for s in traced if s["ok"]]
-    if not plain or not traced:
+    if not plain or not traced or not ref["ok"]:
         return {}, []
     layers = []
     for s in traced:
@@ -474,7 +487,10 @@ def run_traced(r: Runner, seconds: float) -> tuple:
         r.info.append({"self_s": lm.pop("_self_s")})
         layers.append(lm)
     metrics = {name: statistics.median(lm[name] for lm in layers)
-               for name in PER_LAYER_UNITS if name != "trace.overhead_s"}
+               for name in PER_LAYER_UNITS
+               if name not in ("trace.overhead_s", "harness.reduce_peak_mb")}
+    # tracemalloc slows allocation, so the peak comes from the untimed run
+    metrics["harness.reduce_peak_mb"] = reduce_peak_mb(ref["spans"])
     metrics["trace.overhead_s"] = metrics["trace.wall_s"] - statistics.median(
         s["wall_s"] for s in plain)
     table = [(name, metrics[name], "median", len(layers)) for name in PER_LAYER_UNITS]
@@ -485,8 +501,9 @@ def run_traced(r: Runner, seconds: float) -> tuple:
 
 
 def machine_info() -> dict:
+    from importlib.metadata import version
+
     import numpy as np
-    import scipy
 
     def getconf(name):
         try:
@@ -504,7 +521,7 @@ def machine_info() -> dict:
         "l3_bytes": getconf("LEVEL3_CACHE_SIZE"),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": version("scipy"),
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_env": BLAS_ENV,
     }
@@ -530,7 +547,7 @@ def bench(w: Workload, seed: int, seconds: float, trace: bool, smoke: bool) -> d
         "R": cfg.get("replicates"),
         "machine": machine_info(),
         "failures": r.failures,
-        # passes() and max_std_deviation: recorded, not gated (see README.md)
+        # passes() and max_std_deviation (gated only where w.gate_passes)
         "statistics": next((i for i in r.info if "passes" in i), None),
         "table": table,
         "per_run": r.info,
@@ -557,65 +574,30 @@ def bench(w: Workload, seed: int, seconds: float, trace: bool, smoke: bool) -> d
     }
 
 
-PINNED = (
-    ("brownian-baseline covariance", ["covariance", "--preset", "brownian-baseline"]),
-    ("fbm-wave covariance", ["covariance", "--preset", "fbm-wave"]),
-    ("fbm-wave sweep", ["sweep", "--preset", "fbm-wave"]),
-)
-
-
-def pinned(repeats: int) -> None:
-    """Median wall time of the three full-size preset runs at one worker."""
-    WORK.mkdir(exist_ok=True)
-    for label, args in PINNED:
-        walls = []
-        for _ in range(repeats):
-            out = WORK / "pinned"
-            shutil.rmtree(out, ignore_errors=True)
-            run = spawn(
-                [sys.executable, "-c", CLI_SHIM, *args, "--workers", "1", "--out", str(out)],
-                WORK / "pinned.log")
-            if run.code != 0:
-                raise BenchError(f"{label} exited with {run.code}")
-            check_outputs(out)
-            walls.append(run.wall)
-        print(f"{label:30s} median {statistics.median(walls):.2f} s "
-              f"of {[round(x, 2) for x in walls]} (workers=1, peak RSS {run.peak_rss_mb:.0f} MB)")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, help="CLI master seed (default: the preset's)")
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny replicate counts and the fewest runs")
-    parser.add_argument("--pinned", type=int, metavar="REPEATS",
-                        help="time the three full-size preset runs instead")
     args = parser.parse_args(argv)
     if not (SRC / "sheetforge" / "cli.py").is_file():
         print(f"no sheetforge sources under {SRC}", file=sys.stderr)
         return 2
-    try:
-        if args.pinned:
-            pinned(args.pinned)
-            return 0
-        if args.workload is None:
-            parser.error("--workload is required")
-        w = WORKLOADS[args.workload]
-        if args.seed is None:
-            _import_sheetforge()
-            from sheetforge.config import preset
+    if args.workload is None:
+        parser.error("--workload is required")
+    w = WORKLOADS[args.workload]
+    if args.seed is None:
+        _import_sheetforge()
+        from sheetforge.config import preset
 
-            seed = preset(w.preset)["master_seed"]
-        else:
-            seed = args.seed % 2**63
-        seconds = 0.0 if args.smoke else args.seconds
-        result = bench(w, seed, seconds, bool(args.trace), args.smoke)
-    except BenchError as exc:
-        print(f"benchmark error: {exc}", file=sys.stderr)
-        return 2
+        seed = preset(w.preset)["master_seed"]
+    else:
+        seed = args.seed % 2**63
+    seconds = 0.0 if args.smoke else args.seconds
+    result = bench(w, seed, seconds, bool(args.trace), args.smoke)
     if not result["metrics"]:
         print("no CLI run passed its checks; no result", file=sys.stderr)
         return 1

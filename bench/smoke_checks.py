@@ -89,6 +89,21 @@ def test_corrupted_output_counts_as_failure(tmp_path, how):
     assert runner.attempted == 2 and len(runner.failures) == 1
 
 
+def test_failed_covariance_verdict_counts_as_failure(tmp_path, monkeypatch):
+    w = run.WORKLOADS["brownian-cov"]
+    assert w.gate_passes
+    runner = run.Runner(w, 5, smoke=True, directory=tmp_path / "runs")
+    assert not runner.gate_passes  # R=50 is too few for the verdict
+    runner.gate_passes = True
+    monkeypatch.setattr(run, "_passes", lambda report: True)
+    runner.cli("s0", w.workers)
+    assert runner.failures == []
+    monkeypatch.setattr(run, "_passes", lambda report: False)
+    runner.cli("s1", w.workers)
+    assert runner.attempted == 2 and len(runner.failures) == 1
+    assert "passes()" in runner.failures[0]
+
+
 def test_self_time_subtracts_covered_child_time():
     spans = [
         {"id": 0, "name": "loop", "start": 0.0, "end": 10.0, "parent": None},

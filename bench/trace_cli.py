@@ -1,11 +1,13 @@
 """Run the `sheetforge` CLI once in this interpreter with spans around each layer.
 
-    python3 bench/trace_cli.py <spans.json> <run_id> <cli arguments ...>
+    python3 bench/trace_cli.py [--memory] <spans.json> <run_id> <cli arguments ...>
 
 Spans are recorded from outside the program: each layer's public entry point
 is replaced, in the module that calls it, by a wrapper that records
 (name, start, end, parent, thread, run id). The spans stay in memory and are
-written to <spans.json> when the run ends, with the CLI's exit code.
+written to <spans.json> when the run ends, with the CLI's exit code. With
+--memory, each reduction span also carries its tracemalloc peak; tracemalloc
+slows every allocation, so such a run's times are not the program's own.
 PYTHONPATH must point at the checkout's `src`.
 """
 import time
@@ -86,7 +88,8 @@ class Tracer:
 
 
 def main(argv) -> int:
-    spans_path, run_id, *cli_args = argv
+    memory = argv[:1] == ["--memory"]
+    spans_path, run_id, *cli_args = argv[1:] if memory else argv
     tracer = Tracer(run_id)
     import sheetforge.cli as cli
 
@@ -102,7 +105,7 @@ def main(argv) -> int:
     tracer.wrap(harness, "theta_values_from_sheet", "theta")
     for reduction in ("empirical_covariance", "independence_probe",
                       "gaussianity_test", "theoretical_covariance"):
-        tracer.wrap(cli, reduction, "harness.reduce", measure_memory=True)
+        tracer.wrap(cli, reduction, "harness.reduce", measure_memory=memory)
     tracer.wrap(cli, "_dump_json", "cli.write")
     for report in (harness.CovarianceReport, harness.IndependenceReport,
                    harness.GaussianityReport):
