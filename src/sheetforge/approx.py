@@ -166,7 +166,7 @@ class ApproxField:
             fh.write(f"# sheetforge approxfield v1 provenance={prov}\n")
             fh.write("s\\t," + ",".join(repr(t) for t in self.grid.t_points) + "\n")
             for s, row in zip(self.grid.s_points, self.values):
-                fh.write(repr(s) + "," + ",".join(repr(v) for v in row) + "\n")
+                fh.write(repr(s) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 # -- quadrature matrices ---------------------------------------------------

@@ -22,6 +22,7 @@ from scipy import stats as _scipy_stats
 
 from .approx import EvalGrid, quadrature_rows
 from .errors import (
+    ConfigError,
     InsufficientReplicates,
     OutOfRange,
     QuadratureFailure,
@@ -64,23 +65,30 @@ _PSD_TOL = 1e-8
 
 
 def _worker_count(workers: Optional[int]) -> int:
+    """Thread count from the argument, else SHEETFORGE_THREADS, else 1.
+    Anything but a positive integer is a ConfigError."""
     if workers is not None:
-        return max(1, int(workers))
+        if int(workers) < 1:
+            raise ConfigError(f"workers={workers} must be a positive integer")
+        return int(workers)
     env = os.environ.get("SHEETFORGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
+    if not env:
+        return 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"SHEETFORGE_THREADS={env!r} must be a positive integer")
+    return count
 
 
 def _run_replicates(count: int, work, workers: Optional[int]) -> None:
-    """Run work(r) for r = 0..count-1, optionally on a thread pool. Each
-    work(r) writes only to its own slot, so scheduling never changes
-    results."""
-    n = _worker_count(workers)
-    if n == 1:
+    """Run work(r) for r = 0..count-1, optionally on a thread pool of at
+    most count threads. Each work(r) writes only to its own slot, so
+    scheduling never changes results."""
+    n = min(_worker_count(workers), count)
+    if n <= 1:
         for r in range(count):
             work(r)
     else:
@@ -286,8 +294,9 @@ class CovarianceReport:
                     p, q = self.points[i], self.points[j]
                     fh.write(
                         f"{i},{j},{p[0]!r},{p[1]!r},{q[0]!r},{q[1]!r},"
-                        f"{self.empirical[i, j]!r},{self.std_errors[i, j]!r},"
-                        f"{self.theoretical[i, j]!r}\n"
+                        f"{float(self.empirical[i, j])!r},"
+                        f"{float(self.std_errors[i, j])!r},"
+                        f"{float(self.theoretical[i, j])!r}\n"
                     )
 
 

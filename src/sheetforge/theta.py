@@ -16,6 +16,7 @@ uniform weight 1/M per axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -163,16 +164,69 @@ class ThetaField:
         return self.field.lattice
 
 
+@lru_cache(maxsize=4)
+def _root_xy(m: int) -> np.ndarray:
+    """sqrt(x_i y_j) over the lattice midpoints, shared read-only by every
+    draw on an M-lattice."""
+    x = Lattice(m).midpoints()
+    root = np.sqrt(np.outer(x, x))
+    root.setflags(write=False)
+    return root
+
+
+def _lattice_counts(model: LevyModel, values: np.ndarray):
+    """(counts, steps) with values == steps[counts] bit for bit, where
+    steps[k] = h * k, when the model moves only by jumps of one size h and
+    the values lie on its lattice; None otherwise.
+
+    Every value then is one of counts.max() + 1 steps, so a transform of the
+    values can be tabulated per step and gathered by count."""
+    jd = model.jump_dist
+    if model.sigma != 0.0 or model.drift != 0.0 or not isinstance(jd, Deterministic):
+        return None
+    if values.dtype != np.float64:
+        return None
+    k = values / jd.h
+    np.rint(k, out=k)
+    top = k.max()
+    # NaN fails both tests; a table longer than the field would cost more
+    # than transforming the field itself.
+    if not (k.min() >= 0.0 and top < k.size):
+        return None
+    counts = k.astype(np.intp)
+    steps = jd.h * np.arange(int(top) + 1)
+    # A sheet's empty cells hold +0.0, while h * 0 is -0.0 for h < 0, and
+    # sin keeps the sign of a zero.
+    steps[0] = 0.0
+    if not np.array_equal(steps[counts].view(np.uint64), values.view(np.uint64)):
+        return None
+    return counts, steps
+
+
+_PARITY = np.array([1.0, -1.0])
+_PARITY.setflags(write=False)
+
+
 def theta_values_from_sheet(spec: ThetaSpec, sheet_values: np.ndarray, lattice: Lattice) -> np.ndarray:
-    x = lattice.midpoints()
-    root_xy = np.sqrt(np.outer(x, x))
+    """Kernel values n K sqrt(xy) f(L) at the midpoints from the sheet
+    values L there. Sheets of a pure fixed-jump model take a per-count table
+    of f; the bytes equal those of the direct elementwise transform."""
+    root_xy = _root_xy(lattice.m)
+    lattice_counts = _lattice_counts(spec.model, np.asarray(sheet_values))
     if spec.kind == "KacStroock":
         # sheet values are exact integer counts (unit jumps); parity flips sign
-        parity = 1.0 - 2.0 * np.mod(sheet_values, 2.0)
+        if lattice_counts is None:
+            parity = 1.0 - 2.0 * np.mod(sheet_values, 2.0)
+        else:
+            parity = _PARITY[lattice_counts[0] & 1]
         return spec.n * root_xy * parity
     k = spec.normalizer()
-    phase = spec.angle * sheet_values
-    wave = np.cos(phase) if spec.kind == "LevyCos" else np.sin(phase)
+    wave_of = np.cos if spec.kind == "LevyCos" else np.sin
+    if lattice_counts is None:
+        wave = wave_of(spec.angle * sheet_values)
+    else:
+        counts, steps = lattice_counts
+        wave = wave_of(spec.angle * steps)[counts]
     return spec.n * k * root_xy * wave
 
 

@@ -242,3 +242,10 @@ def test_approx_field_csv_contains_provenance(tmp_path):
     prov = json.loads(lines[0].split("provenance=", 1)[1])
     assert prov["k1"] == {"kind": "indicator"}
     assert len(lines) == 2 + 2  # header + column row + one row per s point
+    head = lines[1].split(",")
+    assert head[0] == "s\\t"
+    assert [float(v) for v in head[1:]] == list(x.grid.t_points)
+    for s, line, row in zip(x.grid.s_points, lines[2:], x.values):
+        fields = [float(v) for v in line.split(",")]
+        assert fields[0] == s
+        assert fields[1:] == row.tolist()

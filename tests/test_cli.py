@@ -428,6 +428,20 @@ def test_bad_config_json_exits_2(tmp_path, capsys):
     assert "bad config JSON" in payload["error"]["message"]
 
 
+def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch):
+    argv = ["covariance", "--preset", "brownian-baseline", *SMALL,
+            "--out", str(tmp_path / "o")]
+    monkeypatch.setenv("SHEETFORGE_THREADS", "two")
+    code, payload = _cli(capsys, argv)
+    assert code == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert "SHEETFORGE_THREADS" in payload["error"]["message"]
+    monkeypatch.delenv("SHEETFORGE_THREADS")
+    code, payload = _cli(capsys, [*argv, "--workers", "0"])
+    assert code == 2
+    assert "workers=0" in payload["error"]["message"]
+
+
 def test_missing_config_file_exits_4(tmp_path, capsys):
     code, payload = _cli(
         capsys,

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from sheetforge import harness
 from sheetforge import (
+    ConfigError,
     CovarianceReport,
     EvalGrid,
     FbmVolterra,
@@ -183,7 +185,17 @@ def test_covariance_report_serialization_and_floor(tmp_path):
     assert "covariance report" in text and "500 replicates" in text
     path = tmp_path / "cov.csv"
     rep.to_csv(path)
-    assert len(path.read_text().strip().split("\n")) == 1 + 4  # header + entries
+    lines = path.read_text().strip().split("\n")
+    assert len(lines) == 1 + 4  # header + entries
+    assert lines[0] == "i,j,s,t,s2,t2,empirical,std_error,theoretical"
+    for line in lines[1:]:
+        fields = line.split(",")
+        i, j = int(fields[0]), int(fields[1])
+        s, t, s2, t2, emp, se, theo = (float(v) for v in fields[2:])
+        assert [s, t] == obj["points"][i] and [s2, t2] == obj["points"][j]
+        assert emp == obj["empirical"][i][j]
+        assert se == obj["std_errors"][i][j]
+        assert theo == obj["theoretical"][i][j]
     # the absolute floor forgives tiny-SE entries with tiny deviations
     small = CovarianceReport(
         points=pts,
@@ -228,6 +240,40 @@ def test_generate_replicates_deterministic_and_thread_invariant():
         generate_replicates(spec, Indicator(), Indicator(), grid, lat, 1, 123)
 
 
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+def test_malformed_thread_variable_is_a_config_error(value, monkeypatch):
+    monkeypatch.setenv("SHEETFORGE_THREADS", value)
+    with pytest.raises(ConfigError, match="SHEETFORGE_THREADS"):
+        generate_replicates(kac_stroock(10.0), Indicator(), Indicator(),
+                            EvalGrid.square((1.0,)), Lattice(4), 4, 1)
+
+
+def test_thread_count_sources_and_cap(monkeypatch):
+    monkeypatch.delenv("SHEETFORGE_THREADS", raising=False)
+    assert harness._worker_count(None) == 1
+    monkeypatch.setenv("SHEETFORGE_THREADS", "")
+    assert harness._worker_count(None) == 1
+    monkeypatch.setenv("SHEETFORGE_THREADS", "3")
+    assert harness._worker_count(None) == 3
+    assert harness._worker_count(2) == 2  # the argument wins over the variable
+    for bad in (0, -1):
+        with pytest.raises(ConfigError, match="workers"):
+            harness._worker_count(bad)
+    pools = []
+
+    class RecordingPool(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    seen = []
+    harness._run_replicates(3, seen.append, workers=8)
+    harness._run_replicates(5, seen.append, workers=2)
+    assert pools == [3, 2]
+    assert sorted(seen) == [0, 0, 1, 1, 2, 2, 3, 4]
+
+
 def test_generate_coupled_replicates_sharing_and_validation():
     cos_spec = levy_cos(unit_jump_poisson(), 100.0, 1.0)
     sin_spec = levy_sin(unit_jump_poisson(), 100.0, 1.0)
@@ -247,6 +293,44 @@ def test_generate_coupled_replicates_sharing_and_validation():
         generate_coupled_replicates(
             cos_spec, mismatched, Indicator(), Indicator(), grid, lat, 50, 321
         )
+
+
+def test_every_replicate_loop_draws_once_per_replicate(monkeypatch):
+    """Each replicate loop calls simulate_sheet and theta_values_from_sheet
+    through harness's module globals, once per replicate (theta twice for
+    the coupled pair): benchmarks and tracers hook those two names."""
+    calls = {}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.delenv("SHEETFORGE_THREADS", raising=False)
+    monkeypatch.setattr(harness, "simulate_sheet",
+                        counting("sheet", harness.simulate_sheet))
+    monkeypatch.setattr(harness, "theta_values_from_sheet",
+                        counting("theta", harness.theta_values_from_sheet))
+    lat, r = Lattice(8), 6
+    grid = EvalGrid.square((0.5, 1.0))
+    k = Indicator()
+    cos_spec = levy_cos(unit_jump_poisson(), 20.0, 1.0)
+    sin_spec = levy_sin(unit_jump_poisson(), 20.0, 1.0)
+    one = StepFunction((0.0, 1.0), (1.0,))
+    windows = ((0.5, 0.75, 0.5, 0.75), (0.5, 0.9, 0.5, 0.9))
+    runs = (
+        (lambda: generate_replicates(cos_spec, k, k, grid, lat, r, 1), 1),
+        (lambda: generate_coupled_replicates(
+            cos_spec, sin_spec, k, k, grid, lat, r, 1), 2),
+        (lambda: bilinear_moment_probe(cos_spec, one, one, lat, r, 1), 1),
+        (lambda: window_scaling_probe(
+            kac_stroock(20.0), k, k, 2, (0.0, 1.0, 0.0, 1.0), windows, lat, r, 1), 1),
+    )
+    for run, thetas_per_draw in runs:
+        calls.clear()
+        run()
+        assert calls == {"sheet": r, "theta": thetas_per_draw * r}
 
 
 # -- independence probe --------------------------------------------------------

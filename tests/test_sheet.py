@@ -7,16 +7,19 @@ import scipy.stats
 
 from sheetforge import (
     ConfigError,
+    Deterministic,
     GaussianJump,
     GridField,
     Lattice,
     LevyModel,
     NodeNotOnLattice,
     OutOfRange,
+    TwoPoint,
     mix64,
     simulate_sheet,
     unit_jump_poisson,
 )
+from sheetforge import sheet as sheet_module
 from sheetforge.sheet import sample_increments
 
 
@@ -98,6 +101,38 @@ def test_sheet_determinism_and_seed_sensitivity():
     np.testing.assert_array_equal(one.field.values, two.field.values)
     other = simulate_sheet(model, 100.0, lat, seed=43)
     assert not np.array_equal(one.field.values, other.field.values)
+
+
+def _reference_sheet(model, n, lattice, seed):
+    """Reference oracle: the node values as the two out-of-place cumsums of
+    the same increment draw."""
+    w = lattice.partition_widths()
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    inc = sample_increments(model, n * np.outer(w, w), rng)
+    return inc.cumsum(axis=0).cumsum(axis=1)
+
+
+_PREFIX_SUM_MODELS = {
+    "brownian": LevyModel(sigma=0.7),
+    "drift+jumps": LevyModel(drift=-0.3, jump_rate=1.0, jump_dist=Deterministic(1.0)),
+    "deterministic": LevyModel(jump_rate=2.0, jump_dist=Deterministic(-0.5)),
+    "two-point": LevyModel(jump_rate=1.5, jump_dist=TwoPoint(1.0, -2.0, 0.3)),
+    "gaussian-jump": LevyModel(sigma=0.2, jump_rate=1.0, jump_dist=GaussianJump(0.1, 0.5)),
+}
+
+
+@pytest.mark.parametrize("row_sweep", [True, False], ids=["row-sweep", "cumsum"])
+@pytest.mark.parametrize("m", [1, 2, 7, 64])
+@pytest.mark.parametrize("name", sorted(_PREFIX_SUM_MODELS))
+def test_in_place_prefix_sums_match_cumsum_bytes(name, m, row_sweep, monkeypatch):
+    """Both in-place prefix-sum routes give the bytes of
+    cumsum(axis=0).cumsum(axis=1), whichever route the lattice size picks."""
+    monkeypatch.setattr(sheet_module, "_ROW_SWEEP_MIN_M", 1 if row_sweep else m + 1)
+    model = _PREFIX_SUM_MODELS[name]
+    lat = Lattice(m)
+    got = simulate_sheet(model, 50.0, lat, seed=m).field.values
+    want = _reference_sheet(model, 50.0, lat, m)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_simulate_sheet_validates_n():

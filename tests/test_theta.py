@@ -8,7 +8,9 @@ import pytest
 from sheetforge import (
     ConfigError,
     DegenerateAngle,
+    Deterministic,
     Lattice,
+    LevyModel,
     OutOfRange,
     ThetaSpec,
     integrate_field,
@@ -18,10 +20,12 @@ from sheetforge import (
     mix64,
     realize_theta,
     realize_theta_pair,
+    simulate_sheet,
     theta_spec_from_json_obj,
     theta_values_from_sheet,
     unit_jump_poisson,
 )
+from sheetforge.theta import _lattice_counts
 
 ROOT2 = math.sqrt(2.0)
 
@@ -109,6 +113,79 @@ def test_wave_fields_on_a_frozen_sheet():
     np.testing.assert_array_equal(
         theta_values_from_sheet(spec_c, counts, lat), env * np.cos(1.3 * counts)
     )
+
+
+def _reference_theta(spec, sheet_values, lattice):
+    """Reference oracle: the elementwise transform of every sheet value,
+    with the envelope built per call."""
+    x = lattice.midpoints()
+    root_xy = np.sqrt(np.outer(x, x))
+    if spec.kind == "KacStroock":
+        parity = 1.0 - 2.0 * np.mod(sheet_values, 2.0)
+        return spec.n * root_xy * parity
+    phase = spec.angle * sheet_values
+    wave = np.cos(phase) if spec.kind == "LevyCos" else np.sin(phase)
+    return spec.n * spec.normalizer() * root_xy * wave
+
+
+def _same_bytes(a, b) -> bool:
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads count."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _fixed_jump(h: float) -> LevyModel:
+    return LevyModel(sigma=0.0, drift=0.0, jump_rate=1.0, jump_dist=Deterministic(h))
+
+
+@pytest.mark.parametrize("m, n", [(7, 40.0), (64, 400.0)])
+@pytest.mark.parametrize("h", [1.0, -1.0, 0.5, 2.0])
+def test_lattice_sheets_take_the_count_table_byte_identically(h, m, n):
+    """n keeps the largest count below M^2, the longest table taken."""
+    lat = Lattice(m)
+    model = _fixed_jump(h)
+    sv = simulate_sheet(model, n, lat, seed=31 + m).field.values
+    assert _lattice_counts(model, sv) is not None
+    # empty cells hold +0.0; for h < 0 the table's zero step must too
+    assert np.any(sv == 0.0) and np.any(sv != 0.0)
+    specs = [levy_cos(model, n, 1.0), levy_sin(model, n, 1.0)]
+    if h == 1.0:
+        specs.append(kac_stroock(n))
+    for spec in specs:
+        got = theta_values_from_sheet(spec, sv, lat)
+        assert _same_bytes(got, _reference_theta(spec, sv, lat)), spec.kind
+
+
+def _perturbed(values, index, value):
+    out = values.copy()
+    out[index] = value
+    return out
+
+
+def test_off_lattice_values_fall_back_byte_identically():
+    lat = Lattice(16)
+    unit = unit_jump_poisson()
+    sv = simulate_sheet(unit, 100.0, lat, seed=5).field.values
+    tenth = _fixed_jump(0.1)
+    noisy = LevyModel(sigma=0.5, drift=0.0, jump_rate=1.0, jump_dist=Deterministic(1.0))
+    drifting = LevyModel(sigma=0.0, drift=0.25, jump_rate=1.0, jump_dist=Deterministic(1.0))
+    cases = [
+        (tenth, simulate_sheet(tenth, 100.0, lat, seed=5).field.values),
+        (unit, _perturbed(sv, (3, 4), sv[3, 4] + 0.5)),
+        (unit, _perturbed(sv, (0, 0), -1.0)),
+        (unit, _perturbed(sv, (2, 9), np.nan)),
+        (unit, _perturbed(sv, (0, 0), -0.0)),
+        (unit, np.full((16, 16), 1000.0)),
+        (noisy, simulate_sheet(noisy, 100.0, lat, seed=5).field.values),
+        (drifting, simulate_sheet(drifting, 100.0, lat, seed=5).field.values),
+    ]
+    for i, (model, values) in enumerate(cases):
+        assert _lattice_counts(model, values) is None, i
+        specs = [levy_cos(model, 100.0, 1.0), levy_sin(model, 100.0, 1.0)]
+        if model == unit:
+            specs.append(kac_stroock(100.0))
+        for spec in specs:
+            got = theta_values_from_sheet(spec, values, lat)
+            assert _same_bytes(got, _reference_theta(spec, values, lat)), (i, spec.kind)
 
 
 def test_wave_envelope_bound_holds_pointwise():
