@@ -220,29 +220,14 @@ def build_approximation(
     k1: KernelSpec,
     k2: KernelSpec,
     grid: EvalGrid,
-    method: str = "gemm",
 ) -> ApproxField:
-    """Evaluate X_n on the grid. method="gemm" (default) uses the two dense
-    matrix products A Theta B^T; method="naive" runs the literal triple-loop
-    midpoint sum (reference path for equivalence tests)."""
+    """Evaluate X_n on the grid as the two dense matrix products A Theta B^T."""
     vals, m, seed, tsj, meta = _theta_parts(theta)
     if m < 2:
         raise OutOfRange("theta lattice must have M >= 2")
     a = quadrature_rows(k1, m, grid.s_points)
     b = quadrature_rows(k2, m, grid.t_points)
-    if method == "gemm":
-        x = a @ vals @ b.T
-    elif method == "naive":
-        x = np.empty((len(grid.s_points), len(grid.t_points)))
-        for k in range(len(grid.s_points)):
-            for l in range(len(grid.t_points)):
-                acc = 0.0
-                for i in range(m):
-                    for j in range(m):
-                        acc += a[k, i] * vals[i, j] * b[l, j]
-                x[k, l] = acc
-    else:
-        raise OutOfRange(f"unknown method {method!r}")
+    x = a @ vals @ b.T
     return ApproxField(grid, x, k1, k2, m, seed=seed, theta_spec_json=tsj, meta=meta)
 
 

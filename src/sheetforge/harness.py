@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .approx import EvalGrid, quadrature_rows
+from .approx import EvalGrid, quadrature_rows, window_quadrature_rows
 from .errors import (
     ConfigError,
     InsufficientReplicates,
@@ -37,7 +37,7 @@ from .kernels import (
 )
 from .levy import exponent, normalizing_constant
 from .sheet import Lattice, mix64, simulate_sheet
-from .theta import ThetaSpec, theta_values_from_sheet
+from .theta import ThetaSpec, _check_coupled_pair, theta_values_from_sheet
 
 __all__ = [
     "MomentEstimate",
@@ -68,9 +68,9 @@ def _worker_count(workers: Optional[int]) -> int:
     """Thread count from the argument, else SHEETFORGE_THREADS, else 1.
     Anything but a positive integer is a ConfigError."""
     if workers is not None:
-        if int(workers) < 1:
-            raise ConfigError(f"workers={workers} must be a positive integer")
-        return int(workers)
+        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+            raise ConfigError(f"workers={workers!r} must be a positive integer")
+        return workers
     env = os.environ.get("SHEETFORGE_THREADS")
     if not env:
         return 1
@@ -129,27 +129,26 @@ def grid_points(grid: EvalGrid) -> Tuple[Tuple[float, float], ...]:
 # -- theoretical covariance -------------------------------------------------
 
 
-def axis_inner_product(
-    spec: KernelSpec, s: float, s2: float, method: str = "auto"
-) -> float:
+def axis_inner_product(spec: KernelSpec, s: float, s2: float) -> float:
     """One-axis factor int_0^1 K(s, u) K(s2, u) du of the limit covariance.
 
     Closed forms: Indicator -> min(s, s2); FbmVolterra(alpha) ->
-    (s^2a + s2^2a - |s2-s|^2a)/2 with a = alpha. method="quadrature" forces
-    the numeric route (self-consistency oracle); "auto" prefers closed forms.
+    (s^2a + s2^2a - |s2-s|^2a)/2 with a = alpha. Every other kernel takes
+    graded quadrature.
     """
-    if method not in ("auto", "closed", "quadrature"):
-        raise OutOfRange(f"unknown method {method!r}")
     if not (0.0 <= s <= 1.0 and 0.0 <= s2 <= 1.0):
         raise OutOfRange("points must lie in [0, 1]")
-    if method != "quadrature":
-        if isinstance(spec, Indicator):
-            return min(s, s2)
-        if isinstance(spec, FbmVolterra):
-            two_a = 2.0 * spec.alpha
-            return 0.5 * (s**two_a + s2**two_a - abs(s2 - s) ** two_a)
-        if method == "closed":
-            raise OutOfRange(f"no closed form for {type(spec).__name__}")
+    if isinstance(spec, Indicator):
+        return min(s, s2)
+    if isinstance(spec, FbmVolterra):
+        two_a = 2.0 * spec.alpha
+        return 0.5 * (s**two_a + s2**two_a - abs(s2 - s) ** two_a)
+    return _quadrature_inner_product(spec, s, s2)
+
+
+def _quadrature_inner_product(spec: KernelSpec, s: float, s2: float) -> float:
+    """int_0^1 K(s, u) K(s2, u) du by graded quadrature on [0, min(s, s2)],
+    for any kernel (the closed forms' self-consistency oracle)."""
     lo = min(s, s2)
     if lo == 0.0:
         return 0.0
@@ -162,7 +161,6 @@ def theoretical_covariance(
     k1: KernelSpec,
     k2: KernelSpec,
     points: Sequence[Tuple[float, float]],
-    method: str = "auto",
 ) -> np.ndarray:
     """Limit covariance matrix over the points: the per-axis inner products
     multiply, Cov[p, q] = (int K1(s_p,.) K1(s_q,.)) * (int K2(t_p,.) K2(t_q,.)).
@@ -171,12 +169,12 @@ def theoretical_covariance(
     svals = sorted({s for s, _ in pts})
     tvals = sorted({t for _, t in pts})
     f1 = {
-        (a, b): axis_inner_product(k1, a, b, method)
+        (a, b): axis_inner_product(k1, a, b)
         for i, a in enumerate(svals)
         for b in svals[i:]
     }
     f2 = {
-        (a, b): axis_inner_product(k2, a, b, method)
+        (a, b): axis_inner_product(k2, a, b)
         for i, a in enumerate(tvals)
         for b in tvals[i:]
     }
@@ -364,6 +362,38 @@ class ReplicateSet:
         return int(self.values.shape[0])
 
 
+def _project_replicates(
+    specs: Sequence[ThetaSpec],
+    lattice: Lattice,
+    left: np.ndarray,
+    right: np.ndarray,
+    replicates: int,
+    master_seed: int,
+    workers: Optional[int],
+) -> np.ndarray:
+    """The replicate engine behind every probe. Replicate r draws one sheet
+    with seed mix64(master_seed, r) from the model and n of specs[0] (the
+    specs share both), transforms it to theta for each spec, and stores
+    (left @ theta @ right.T).ravel() in out[k, r] for spec k. The result has
+    shape (len(specs), replicates, len(left) * len(right)).
+
+    simulate_sheet and theta_values_from_sheet are looked up as module
+    globals on every call: benchmarks and tracers replace those names."""
+    if replicates < 2:
+        raise InsufficientReplicates(f"need at least 2 replicates, got {replicates}")
+    model, n = specs[0].model, specs[0].n
+    right_t = right.T
+    out = np.empty((len(specs), replicates, len(left) * len(right)))
+
+    def work(r: int) -> None:
+        sv = simulate_sheet(model, n, lattice, mix64(master_seed, r)).field.values
+        for k, spec in enumerate(specs):
+            out[k, r] = (left @ theta_values_from_sheet(spec, sv, lattice) @ right_t).ravel()
+
+    _run_replicates(replicates, work, workers)
+    return out
+
+
 def generate_replicates(
     spec: ThetaSpec,
     k1: KernelSpec,
@@ -376,21 +406,10 @@ def generate_replicates(
 ) -> ReplicateSet:
     """R independent realizations of X_n on the grid; replicate r uses seed
     mix64(master_seed, r). The kernel quadrature matrices are built once."""
-    if replicates < 2:
-        raise InsufficientReplicates(f"need at least 2 replicates, got {replicates}")
-    m = lattice.m
-    a = quadrature_rows(k1, m, grid.s_points)
-    bt = quadrature_rows(k2, m, grid.t_points).T
-    pts = grid_points(grid)
-    out = np.empty((replicates, len(pts)))
-
-    def work(r: int) -> None:
-        sheet = simulate_sheet(spec.model, spec.n, lattice, mix64(master_seed, r))
-        th = theta_values_from_sheet(spec, sheet.field.values, lattice)
-        out[r] = (a @ th @ bt).ravel()
-
-    _run_replicates(replicates, work, workers)
-    return ReplicateSet(pts, out, spec, master_seed)
+    a = quadrature_rows(k1, lattice.m, grid.s_points)
+    b = quadrature_rows(k2, lattice.m, grid.t_points)
+    out = _project_replicates((spec,), lattice, a, b, replicates, master_seed, workers)
+    return ReplicateSet(grid_points(grid), out[0], spec, master_seed)
 
 
 def generate_coupled_replicates(
@@ -407,34 +426,17 @@ def generate_coupled_replicates(
     """Coupled cos/sin replicate sets: each replicate transforms ONE sheet
     draw through both wave kernels. The shared coupled_group tag is what
     independence_probe requires."""
-    if cos_spec.kind != "LevyCos" or sin_spec.kind != "LevySin":
-        raise OutOfRange("need (LevyCos, LevySin) specs")
-    if (
-        cos_spec.model != sin_spec.model
-        or cos_spec.n != sin_spec.n
-        or cos_spec.angle != sin_spec.angle
-    ):
-        raise OutOfRange("paired specs must share model, n and angle")
-    if replicates < 2:
-        raise InsufficientReplicates(f"need at least 2 replicates, got {replicates}")
-    m = lattice.m
-    a = quadrature_rows(k1, m, grid.s_points)
-    bt = quadrature_rows(k2, m, grid.t_points).T
+    _check_coupled_pair(cos_spec, sin_spec)
+    a = quadrature_rows(k1, lattice.m, grid.s_points)
+    b = quadrature_rows(k2, lattice.m, grid.t_points)
+    out = _project_replicates(
+        (cos_spec, sin_spec), lattice, a, b, replicates, master_seed, workers
+    )
     pts = grid_points(grid)
-    out_c = np.empty((replicates, len(pts)))
-    out_s = np.empty((replicates, len(pts)))
-
-    def work(r: int) -> None:
-        sheet = simulate_sheet(cos_spec.model, cos_spec.n, lattice, mix64(master_seed, r))
-        sv = sheet.field.values
-        out_c[r] = (a @ theta_values_from_sheet(cos_spec, sv, lattice) @ bt).ravel()
-        out_s[r] = (a @ theta_values_from_sheet(sin_spec, sv, lattice) @ bt).ravel()
-
-    _run_replicates(replicates, work, workers)
     tag = (master_seed, "cos-sin-pair")
     return (
-        ReplicateSet(pts, out_c, cos_spec, master_seed, coupled_group=tag),
-        ReplicateSet(pts, out_s, sin_spec, master_seed, coupled_group=tag),
+        ReplicateSet(pts, out[0], cos_spec, master_seed, coupled_group=tag),
+        ReplicateSet(pts, out[1], sin_spec, master_seed, coupled_group=tag),
     )
 
 
@@ -530,8 +532,6 @@ def bilinear_moment_probe(
     with C = 136 K^2 / a(angle)^2 for the wave kernels. For KacStroock the
     constant is caller-supplied (default 1.0) and the report is informative
     only."""
-    if replicates < 2:
-        raise InsufficientReplicates(f"need at least 2 replicates, got {replicates}")
     if spec.kind in ("LevyCos", "LevySin"):
         k = normalizing_constant(spec.model, spec.angle)
         a_val = exponent(spec.model, spec.angle).a
@@ -543,14 +543,9 @@ def bilinear_moment_probe(
     mids = lattice.midpoints()
     u = f.sample(mids) / lattice.m
     v = g.sample(mids) / lattice.m
-    zs = np.empty(replicates)
-
-    def work(r: int) -> None:
-        sheet = simulate_sheet(spec.model, spec.n, lattice, mix64(master_seed, r))
-        th = theta_values_from_sheet(spec, sheet.field.values, lattice)
-        zs[r] = u @ th @ v
-
-    _run_replicates(replicates, work, workers)
+    zs = _project_replicates(
+        (spec,), lattice, u[None], v[None], replicates, master_seed, workers
+    )[0, :, 0]
     sq = zs * zs
     m2 = float(sq.mean())
     m2_se = float(sq.std(ddof=1) / math.sqrt(replicates))
@@ -636,8 +631,6 @@ def window_scaling_probe(
     (s0, s0p, t0, t0p) restricts the integration domain."""
     if m_order < 2 or m_order % 2 != 0:
         raise OutOfRange(f"m_order={m_order} must be an even integer >= 2")
-    if replicates < 2:
-        raise InsufficientReplicates(f"need at least 2 replicates, got {replicates}")
     if len(windows) < 2:
         raise OutOfRange("need at least two windows to fit a slope")
     s, s2, t, t2 = (float(v) for v in base_rect)
@@ -651,20 +644,17 @@ def window_scaling_probe(
         if not (0.0 < t0 < t0p < 2.0 * t0) or t0p > 1.0:
             raise OutOfRange(f"window t-range ({t0}, {t0p}) must satisfy 0 < t0 < t0' < 2 t0")
         wlist.append((s0, s0p, t0, t0p))
-    mids = lattice.midpoints()
-    delta = 1.0 / lattice.m
-    dk1 = (kernel_row(k1, s2, mids) - kernel_row(k1, s, mids)) * delta
-    dk2 = (kernel_row(k2, t2, mids) - kernel_row(k2, t, mids)) * delta
-    u_rows = np.array([np.where((mids > s0) & (mids <= s0p), dk1, 0.0) for s0, s0p, _, _ in wlist])
-    v_rows = np.array([np.where((mids > t0) & (mids <= t0p), dk2, 0.0) for _, _, t0, t0p in wlist])
-    incs = np.empty((replicates, len(wlist)))
-
-    def work(r: int) -> None:
-        sheet = simulate_sheet(spec.model, spec.n, lattice, mix64(master_seed, r))
-        th = theta_values_from_sheet(spec, sheet.field.values, lattice)
-        incs[r] = np.einsum("wi,iw->w", u_rows, th @ v_rows.T)
-
-    _run_replicates(replicates, work, workers)
+    m = lattice.m
+    s0s, s0ps, t0s, t0ps = zip(*wlist)
+    # rows over the window (s0, s0'] = rows up to s0' minus rows up to s0
+    u_rows = (window_quadrature_rows(k1, m, s, s2, s0ps)
+              - window_quadrature_rows(k1, m, s, s2, s0s))
+    v_rows = (window_quadrature_rows(k2, m, t, t2, t0ps)
+              - window_quadrature_rows(k2, m, t, t2, t0s))
+    proj = _project_replicates(
+        (spec,), lattice, u_rows, v_rows, replicates, master_seed, workers
+    )
+    incs = proj[0, :, :: len(wlist) + 1]  # diagonal of each W x W projection
     powers = incs**m_order
     vals = powers.mean(axis=0)
     ses = powers.std(axis=0, ddof=1) / math.sqrt(replicates)

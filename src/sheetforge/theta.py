@@ -230,6 +230,20 @@ def theta_values_from_sheet(spec: ThetaSpec, sheet_values: np.ndarray, lattice: 
     return spec.n * k * root_xy * wave
 
 
+def _check_coupled_pair(cos_spec: ThetaSpec, sin_spec: ThetaSpec) -> None:
+    """A coupled pair is (LevyCos, LevySin) specs that agree on everything
+    but the kind, so one sheet draw serves both."""
+    if cos_spec.kind != "LevyCos" or sin_spec.kind != "LevySin":
+        raise OutOfRange("need (LevyCos, LevySin) specs")
+    if (
+        cos_spec.model != sin_spec.model
+        or cos_spec.n != sin_spec.n
+        or cos_spec.angle != sin_spec.angle
+        or cos_spec.m_guard != sin_spec.m_guard
+    ):
+        raise OutOfRange("paired specs must share model, n, angle and m_guard")
+
+
 def realize_theta(spec: ThetaSpec, lattice: Lattice, seed: int) -> ThetaField:
     """One random-kernel realization from one Lévy-sheet draw evaluated
     exactly at the scaled midpoints."""
@@ -246,15 +260,7 @@ def realize_theta_pair(
     """Coupled LevyCos/LevySin realizations built from the SAME sheet draw
     (the cos and sin of one driving Lévy sheet). Both specs must agree on
     everything but the kind."""
-    if cos_spec.kind != "LevyCos" or sin_spec.kind != "LevySin":
-        raise OutOfRange("realize_theta_pair needs (LevyCos, LevySin) specs")
-    if (
-        cos_spec.model != sin_spec.model
-        or cos_spec.n != sin_spec.n
-        or cos_spec.angle != sin_spec.angle
-        or cos_spec.m_guard != sin_spec.m_guard
-    ):
-        raise OutOfRange("paired specs must share model, n, angle and m_guard")
+    _check_coupled_pair(cos_spec, sin_spec)
     sheet = simulate_sheet(cos_spec.model, cos_spec.n, lattice, seed)
     sv = sheet.field.values
     tag_c = (seed, "pair")

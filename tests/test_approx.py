@@ -1,5 +1,5 @@
-"""Approximating field construction: GEMM/naive equivalence, identities,
-windowed fields, and serialization."""
+"""Approximating field construction: GEMM against the triple-loop oracle,
+identities, windowed fields, and serialization."""
 import json
 import math
 
@@ -28,6 +28,8 @@ from sheetforge import (
     realize_theta,
     unit_jump_poisson,
 )
+
+from triple_loop import triple_loop_field
 
 
 def _fake_theta(values: np.ndarray, n: float = 10.0) -> ThetaField:
@@ -81,17 +83,10 @@ def test_gemm_matches_naive_on_random_instances():
         if len(set(pts)) != p:
             continue
         grid = EvalGrid.square(pts)
-        fast = build_approximation(theta, k1, k2, grid, method="gemm")
-        slow = build_approximation(theta, k1, k2, grid, method="naive")
-        scale = max(1.0, np.abs(fast.values).max())
-        np.testing.assert_allclose(
-            fast.values, slow.values, rtol=0, atol=1e-10 * scale
-        )
-    with pytest.raises(OutOfRange):
-        build_approximation(
-            _fake_theta(np.zeros((4, 4))), Indicator(), Indicator(),
-            EvalGrid.square((0.5,)), method="magic",
-        )
+        fast = build_approximation(theta, k1, k2, grid).values
+        slow = triple_loop_field(theta, k1, k2, grid)
+        scale = max(1.0, np.abs(fast).max())
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-10 * scale)
 
 
 def test_build_is_bilinear_in_theta():

@@ -30,9 +30,13 @@ from sheetforge import (
     grid_points,
     independence_probe,
     kac_stroock,
+    kernel_row,
     levy_cos,
     levy_sin,
+    mix64,
+    simulate_sheet,
     theoretical_covariance,
+    theta_values_from_sheet,
     unit_jump_poisson,
     window_scaling_probe,
 )
@@ -76,8 +80,11 @@ def test_axis_inner_product_closed_forms():
     s, s2 = 0.4, 0.9
     expected = 0.5 * (s**1.4 + s2**1.4 - 0.5**1.4)
     assert axis_inner_product(spec, s, s2) == pytest.approx(expected, rel=1e-15)
-    with pytest.raises(OutOfRange):
-        axis_inner_product(HolmgrenRL(0.7), 0.4, 0.9, method="closed")
+    # no closed form: the quadrature route
+    spec = HolmgrenRL(0.7)
+    assert axis_inner_product(spec, 0.4, 0.9) == harness._quadrature_inner_product(
+        spec, 0.4, 0.9
+    )
     with pytest.raises(OutOfRange):
         axis_inner_product(Indicator(), 0.4, 1.2)
 
@@ -86,10 +93,10 @@ def test_axis_inner_product_quadrature_matches_closed():
     for alpha in (0.3, 0.5, 0.7):
         spec = FbmVolterra(alpha)
         for s, s2 in ((0.25, 0.25), (0.25, 0.7), (0.5, 1.0), (1.0, 1.0)):
-            closed = axis_inner_product(spec, s, s2, method="closed")
-            quad = axis_inner_product(spec, s, s2, method="quadrature")
+            closed = axis_inner_product(spec, s, s2)
+            quad = harness._quadrature_inner_product(spec, s, s2)
             assert quad == pytest.approx(closed, rel=1e-6)
-    assert axis_inner_product(Indicator(), 0.0, 0.5, method="quadrature") == 0.0
+    assert harness._quadrature_inner_product(Indicator(), 0.0, 0.5) == 0.0
 
 
 def test_theoretical_covariance_product_structure():
@@ -108,14 +115,19 @@ def test_theoretical_covariance_product_structure():
     assert np.all(np.linalg.eigvalsh(cov) > -1e-8)
 
 
-def test_theoretical_covariance_quadrature_route():
+def test_theoretical_covariance_quadrature_route(monkeypatch):
     pts = grid_points(EvalGrid.square((0.35, 0.8)))
-    for alpha, beta in ((0.3, 0.7), (0.5, 0.5), (0.7, 0.3)):
-        closed = theoretical_covariance(FbmVolterra(alpha), FbmVolterra(beta), pts)
-        quad = theoretical_covariance(
-            FbmVolterra(alpha), FbmVolterra(beta), pts, method="quadrature"
-        )
-        np.testing.assert_allclose(quad, closed, rtol=1e-6)
+    kernels = ((0.3, 0.7), (0.5, 0.5), (0.7, 0.3))
+    closed = [
+        theoretical_covariance(FbmVolterra(alpha), FbmVolterra(beta), pts)
+        for alpha, beta in kernels
+    ]
+    # every axis factor by quadrature, closed forms bypassed
+    monkeypatch.setattr(harness, "axis_inner_product", harness._quadrature_inner_product)
+    for (alpha, beta), want in zip(kernels, closed):
+        quad = theoretical_covariance(FbmVolterra(alpha), FbmVolterra(beta), pts)
+        assert not np.array_equal(quad, want)
+        np.testing.assert_allclose(quad, want, rtol=1e-6)
 
 
 # -- empirical covariance ------------------------------------------------------
@@ -256,7 +268,7 @@ def test_thread_count_sources_and_cap(monkeypatch):
     monkeypatch.setenv("SHEETFORGE_THREADS", "3")
     assert harness._worker_count(None) == 3
     assert harness._worker_count(2) == 2  # the argument wins over the variable
-    for bad in (0, -1):
+    for bad in (0, -1, 1.5, True, "two", float("nan")):
         with pytest.raises(ConfigError, match="workers"):
             harness._worker_count(bad)
     pools = []
@@ -288,11 +300,14 @@ def test_generate_coupled_replicates_sharing_and_validation():
         generate_coupled_replicates(
             sin_spec, cos_spec, Indicator(), Indicator(), grid, lat, 50, 321
         )
-    mismatched = levy_sin(unit_jump_poisson(), 100.0, 1.5)
-    with pytest.raises(OutOfRange):
-        generate_coupled_replicates(
-            cos_spec, mismatched, Indicator(), Indicator(), grid, lat, 50, 321
-        )
+    for mismatched in (
+        levy_sin(unit_jump_poisson(), 100.0, 1.5),
+        levy_sin(unit_jump_poisson(), 100.0, 1.0, m_guard=4),
+    ):
+        with pytest.raises(OutOfRange):
+            generate_coupled_replicates(
+                cos_spec, mismatched, Indicator(), Indicator(), grid, lat, 50, 321
+            )
 
 
 def test_every_replicate_loop_draws_once_per_replicate(monkeypatch):
@@ -538,6 +553,60 @@ def test_window_scaling_validation():
     with pytest.raises(OutOfRange):
         window_scaling_probe(spec, Indicator(), Indicator(), 2,
                              (0.0, 1.0, 0.0, 1.0), bad + ok[:1], Lattice(8), 10, 1)
+
+
+def test_window_scaling_probe_matches_inline_mask_reference(monkeypatch):
+    """Reference: each window row masks the kernel difference to the
+    midpoints in (s0, s0'], and each increment is the einsum contraction of
+    those rows with theta. The probe's rows must equal these byte for byte;
+    its moments, slope and slope SE match to 1e-12 relative (its projection
+    associates the products differently)."""
+    spec = levy_cos(unit_jump_poisson(), 50.0, 1.0)
+    k1, k2 = FbmVolterra(0.6), FbmVolterra(0.4)
+    lat, r, seed = Lattice(32), 300, 17
+    base = (0.1, 0.9, 0.2, 0.8)
+    windows = ((0.4, 0.5, 0.3, 0.5), (0.4, 0.6, 0.3, 0.55), (0.35, 0.68, 0.4, 0.7))
+    seen = []
+    engine = harness._project_replicates
+
+    def capturing(specs, lattice, left, right, *rest):
+        seen.append((left, right))
+        return engine(specs, lattice, left, right, *rest)
+
+    monkeypatch.setattr(harness, "_project_replicates", capturing)
+    report = window_scaling_probe(spec, k1, k2, 2, base, windows, lat, r, seed)
+
+    s, s2, t, t2 = base
+    mids = lat.midpoints()
+    dk1 = (kernel_row(k1, s2, mids) - kernel_row(k1, s, mids)) * (1.0 / lat.m)
+    dk2 = (kernel_row(k2, t2, mids) - kernel_row(k2, t, mids)) * (1.0 / lat.m)
+    u_rows = np.array([np.where((mids > s0) & (mids <= s0p), dk1, 0.0)
+                       for s0, s0p, _, _ in windows])
+    v_rows = np.array([np.where((mids > t0) & (mids <= t0p), dk2, 0.0)
+                       for _, _, t0, t0p in windows])
+    [(left, right)] = seen
+    for got, want in ((left, u_rows), (right, v_rows)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    incs = np.empty((r, len(windows)))
+    for i in range(r):
+        sheet = simulate_sheet(spec.model, spec.n, lat, mix64(seed, i))
+        th = theta_values_from_sheet(spec, sheet.field.values, lat)
+        incs[i] = np.einsum("wi,iw->w", u_rows, th @ v_rows.T)
+    powers = incs**2
+    vals = powers.mean(axis=0)
+    ses = powers.std(axis=0, ddof=1) / math.sqrt(r)
+    x = np.log([(s0p - s0) * (t0p - t0) for s0, s0p, t0, t0p in windows])
+    y = np.log(vals)
+    wgt = (vals / ses) ** 2
+    xm, ym = np.average(x, weights=wgt), np.average(y, weights=wgt)
+    sxx = float(np.sum(wgt * (x - xm) ** 2))
+    slope = float(np.sum(wgt * (x - xm) * (y - ym)) / sxx)
+    for moment, v, e in zip(report.moments, vals, ses):
+        assert moment.value == pytest.approx(v, rel=1e-12, abs=0.0)
+        assert moment.std_error == pytest.approx(e, rel=1e-12, abs=0.0)
+    assert report.slope == pytest.approx(slope, rel=1e-12, abs=0.0)
+    assert report.slope_se == pytest.approx(math.sqrt(1.0 / sxx), rel=1e-12, abs=0.0)
 
 
 # -- gaussianity ----------------------------------------------------------------
