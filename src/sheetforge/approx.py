@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OutOfRange, PointNotOnEvalGrid
-from .kernels import KernelSpec, kernel_from_json_obj, kernel_row
+from .kernels import KernelSpec, kernel_from_json_obj, kernel_matrix, kernel_row
 from .sheet import Lattice
 from .theta import ThetaField, theta_spec_from_json_obj
 
@@ -174,10 +174,7 @@ class ApproxField:
 
 @lru_cache(maxsize=128)
 def _rows_cached(spec: KernelSpec, m: int, points: Tuple[float, ...]) -> np.ndarray:
-    lat = Lattice(m)
-    mids = lat.midpoints()
-    delta = 1.0 / m
-    rows = np.array([kernel_row(spec, p, mids) * delta for p in points])
+    rows = kernel_matrix(spec, points, Lattice(m).midpoints()) * (1.0 / m)
     rows.setflags(write=False)
     return rows
 

@@ -103,12 +103,7 @@ def _dump_json(path: Path, obj) -> None:
 
 
 def _derived_constants(cfg: ExperimentConfig) -> dict:
-    spec = cfg.spec_for_n(cfg.n_schedule[-1])
-    derived: dict = {
-        "zero_mean_estimator": (
-            default_zero_mean(spec) if cfg.zero_mean is None else cfg.zero_mean
-        ),
-    }
+    derived: dict = {"zero_mean_estimator": _resolve_zero_mean(cfg)}
     if cfg.theta_kind in ("LevyCos", "LevySin"):
         derived["normalizing_constant"] = normalizing_constant(cfg.model, cfg.angle)
         derived["min_real_exponent"] = min_real_exponent(
@@ -122,7 +117,7 @@ def _derived_constants(cfg: ExperimentConfig) -> dict:
 
 def _resolve_zero_mean(cfg: ExperimentConfig) -> bool:
     if cfg.zero_mean is not None:
-        return bool(cfg.zero_mean)
+        return cfg.zero_mean
     return default_zero_mean(cfg.spec_for_n(cfg.n_schedule[-1]))
 
 

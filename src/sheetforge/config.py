@@ -174,6 +174,25 @@ def _check_fields(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown fields in {where}: {sorted(extra)}")
 
 
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _real(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+
+
+def _reals(values, where: str) -> Tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
+    return tuple(_real(v, where) for v in values)
+
+
 def config_from_json_obj(obj: dict) -> ExperimentConfig:
     _check_fields(obj, _TOP_FIELDS, "config")
     version = _require(obj, "schema_version", "config")
@@ -184,20 +203,20 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
     tobj = _require(obj, "theta", "config")
     _check_fields(tobj, _THETA_FIELDS, "config.theta")
     kind = _require(tobj, "kind", "config.theta")
-    try:
-        model = LevyModel.from_json_obj(_require(tobj, "model", "config.theta"))
-        k1 = kernel_from_json_obj(_require(obj, "kernel1", "config"))
-        k2 = kernel_from_json_obj(_require(obj, "kernel2", "config"))
-    except SheetForgeError:
-        raise
+    model = LevyModel.from_json_obj(_require(tobj, "model", "config.theta"))
+    k1 = kernel_from_json_obj(_require(obj, "kernel1", "config"))
+    k2 = kernel_from_json_obj(_require(obj, "kernel2", "config"))
     gobj = _require(obj, "eval_grid", "config")
     _check_fields(gobj, _GRID_FIELDS, "config.eval_grid")
-    grid = EvalGrid(
-        tuple(_require(gobj, "s_points", "config.eval_grid")),
-        tuple(_require(gobj, "t_points", "config.eval_grid")),
-    )
+    grid = EvalGrid(*(
+        _reals(_require(gobj, axis, "config.eval_grid"), f"config.eval_grid.{axis}")
+        for axis in ("s_points", "t_points")
+    ))
     angle = tobj.get("angle")
     m_guard = tobj.get("m_guard")
+    zero_mean = obj.get("zero_mean")
+    if zero_mean is not None and not isinstance(zero_mean, bool):
+        raise ConfigError(f"zero_mean must be true, false or null, got {zero_mean!r}")
     pairs = []
     for i, pair in enumerate(obj.get("bilinear_pairs") or ()):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -213,33 +232,34 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
     window = None
     if wobj is not None:
         _check_fields(wobj, _WINDOW_FIELDS, "config.window_scaling")
+        where = "config.window_scaling"
+        windows = _require(wobj, "windows", where)
+        if not isinstance(windows, (list, tuple)):
+            raise ConfigError(f"{where}.windows must be a list, got {windows!r}")
         window = WindowScalingSettings(
-            m_order=int(_require(wobj, "m_order", "config.window_scaling")),
-            base_rect=tuple(
-                float(v) for v in _require(wobj, "base_rect", "config.window_scaling")
-            ),
-            windows=tuple(
-                tuple(float(v) for v in w)
-                for w in _require(wobj, "windows", "config.window_scaling")
-            ),
-            gamma=(None if wobj.get("gamma") is None else float(wobj["gamma"])),
+            m_order=_integer(_require(wobj, "m_order", where), f"{where}.m_order"),
+            base_rect=_reals(_require(wobj, "base_rect", where), f"{where}.base_rect"),
+            windows=tuple(_reals(w, f"{where}.windows") for w in windows),
+            gamma=(None if wobj.get("gamma") is None
+                   else _real(wobj["gamma"], f"{where}.gamma")),
         )
     try:
         return ExperimentConfig(
             theta_kind=kind,
             model=model,
-            angle=(None if angle is None else float(angle)),
-            m_guard=(None if m_guard is None else int(m_guard)),
+            angle=(None if angle is None else _real(angle, "config.theta.angle")),
+            m_guard=(None if m_guard is None
+                     else _integer(m_guard, "config.theta.m_guard")),
             k1=k1,
             k2=k2,
-            lattice_m=int(_require(obj, "lattice_m", "config")),
+            lattice_m=_integer(_require(obj, "lattice_m", "config"), "lattice_m"),
             eval_grid=grid,
-            n_schedule=tuple(float(n) for n in _require(obj, "n_schedule", "config")),
-            replicates=int(_require(obj, "replicates", "config")),
-            master_seed=int(_require(obj, "master_seed", "config")),
+            n_schedule=_reals(_require(obj, "n_schedule", "config"), "n_schedule"),
+            replicates=_integer(_require(obj, "replicates", "config"), "replicates"),
+            master_seed=_integer(_require(obj, "master_seed", "config"), "master_seed"),
             probes=tuple(_require(obj, "probes", "config")),
             output_dir=obj.get("output_dir"),
-            zero_mean=obj.get("zero_mean"),
+            zero_mean=zero_mean,
             bilinear_pairs=tuple(pairs),
             window_scaling=window,
         )

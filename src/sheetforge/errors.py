@@ -24,7 +24,8 @@ class NodeNotOnLattice(SheetForgeError, ValueError):
 
 class PointNotOnEvalGrid(SheetForgeError, ValueError):
     """A coordinate passed to an approximation-field lookup is not on its
-    evaluation grid (0 is always accepted and maps to the zero value)."""
+    evaluation grid. 0 has no special meaning there: it is accepted only
+    when it is itself an evaluation point."""
 
 
 class QuadratureFailure(SheetForgeError, ArithmeticError):

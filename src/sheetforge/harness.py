@@ -386,9 +386,9 @@ def _project_replicates(
     out = np.empty((len(specs), replicates, len(left) * len(right)))
 
     def work(r: int) -> None:
-        sv = simulate_sheet(model, n, lattice, mix64(master_seed, r)).field.values
+        sheet = simulate_sheet(model, n, lattice, mix64(master_seed, r))
         for k, spec in enumerate(specs):
-            out[k, r] = (left @ theta_values_from_sheet(spec, sv, lattice) @ right_t).ravel()
+            out[k, r] = (left @ theta_values_from_sheet(spec, sheet) @ right_t).ravel()
 
     _run_replicates(replicates, work, workers)
     return out

@@ -295,9 +295,13 @@ def _singular_power(spec: KernelSpec) -> float | None:
     return None
 
 
-def _l2_nodes(spec: KernelSpec, breaks: Sequence[float], order: int):
+def l2_quadrature_nodes(
+    spec: KernelSpec, breaks: Sequence[float], order: int = _OUTER_ORDER
+):
     """Quadrature nodes/weights on [0, max(breaks)] split at every break
-    point, graded toward panel ends when the kernel family is singular."""
+    point, graded toward panel ends when the kernel family is singular: the
+    node sets of every L2 integral of a kernel family (also the covariance
+    quadrature route)."""
     pts = sorted({b for b in breaks if b > 0.0})
     power = _singular_power(spec)
     if power is None:
@@ -316,15 +320,6 @@ def _l2_nodes(spec: KernelSpec, breaks: Sequence[float], order: int):
     return np.concatenate(nodes), np.concatenate(wts)
 
 
-def l2_quadrature_nodes(
-    spec: KernelSpec, breaks: Sequence[float], order: int = _OUTER_ORDER
-):
-    """Public access to the graded node/weight sets used for all L2
-    integrals of a kernel family (also serves the covariance quadrature
-    route)."""
-    return _l2_nodes(spec, breaks, order)
-
-
 def increment_l2(spec: KernelSpec, s: float, s2: float, quad_points: int = _OUTER_ORDER) -> float:
     """int_0^1 (K(s2, r) - K(s, r))^2 dr for 0 <= s <= s2 <= 1.
 
@@ -335,7 +330,7 @@ def increment_l2(spec: KernelSpec, s: float, s2: float, quad_points: int = _OUTE
         raise OutOfRange(f"need 0 <= s <= s2 <= 1, got s={s}, s2={s2}")
     if s == s2:
         return 0.0
-    nodes, wts = _l2_nodes(spec, (s, s2), quad_points)
+    nodes, wts = l2_quadrature_nodes(spec, (s, s2), quad_points)
     diff = kernel_row(spec, s2, nodes) - kernel_row(spec, s, nodes)
     return float(np.sum(diff * diff * wts))
 
@@ -351,7 +346,7 @@ def windowed_increment_l2(
         raise OutOfRange(f"window [{r_lo}, {r_hi}] must lie inside [0, 1]")
     if s == s2 or r_lo == r_hi:
         return 0.0
-    nodes, wts = _l2_nodes(spec, (s, s2, r_lo, r_hi), quad_points)
+    nodes, wts = l2_quadrature_nodes(spec, (s, s2, r_lo, r_hi), quad_points)
     keep = (nodes >= r_lo) & (nodes <= r_hi)
     nodes, wts = nodes[keep], wts[keep]
     if nodes.size == 0:

@@ -195,12 +195,17 @@ class GridField:
 @dataclass
 class SheetSample:
     """One exact draw of the Levy sheet at the scaled lattice midpoints:
-    field.values[i, j] = L(sqrt(n) x_i, sqrt(n) y_j)."""
+    field.values[i, j] = L(sqrt(n) x_i, sqrt(n) y_j).
+
+    For a pure fixed-jump model (sigma = 0, drift = 0, Deterministic(h)
+    jumps at a positive rate) the sheet is h * N with N a Poisson count
+    sheet; counts then holds N (int64, same shape), otherwise None."""
 
     field: GridField
     model: LevyModel
     n: float
     seed: int
+    counts: Optional[np.ndarray] = None
 
 
 def sample_increments(model: LevyModel, areas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -235,29 +240,41 @@ def sample_increments(model: LevyModel, areas: np.ndarray, rng: np.random.Genera
     return out
 
 
+def _jump_values(h: float, counts: np.ndarray) -> np.ndarray:
+    """h * counts, the sheet values of a fixed-jump count sheet, with +0.0
+    where the count is 0 (h * 0 is -0.0 for h < 0, and sin keeps the sign
+    of a zero)."""
+    out = h * counts
+    if h < 0.0:
+        out += 0.0
+    return out
+
+
 def simulate_sheet(model: LevyModel, n: float, lattice: Lattice, seed: int) -> SheetSample:
     """Sample the sheet exactly at the scaled midpoints (sqrt(n) x_i, sqrt(n) y_j).
 
     Cell areas in the scaled domain are n * w_i * w_j with w the partition
     widths; node values are cumulative rectangular sums of the independent
-    per-cell increments. Deterministic given (model, n, lattice.m, seed)."""
+    per-cell increments. A pure fixed-jump model sums its integer counts N
+    (its one draw, as in sample_increments) and scales once: values h * N.
+    Deterministic given (model, n, lattice.m, seed)."""
     if not (math.isfinite(n) and n > 0):
         raise OutOfRange(f"n={n} must be finite and > 0")
     w = lattice.partition_widths()
     areas = n * np.outer(w, w)
     rng = np.random.default_rng(np.random.PCG64(seed))
-    values = sample_increments(model, areas, rng)
+    jd = model.jump_dist
+    fixed = (model.sigma == 0.0 and model.drift == 0.0 and model.jump_rate > 0.0
+             and isinstance(jd, Deterministic))
+    acc = rng.poisson(model.jump_rate * areas) if fixed else sample_increments(model, areas, rng)
     # Prefix sums in place, in the association of cumsum(axis=0).cumsum(axis=1).
     if lattice.m >= _ROW_SWEEP_MIN_M:
         for i in range(1, lattice.m):
-            np.add(values[i - 1], values[i], out=values[i])
+            np.add(acc[i - 1], acc[i], out=acc[i])
     else:
-        np.cumsum(values, axis=0, out=values)
-    np.cumsum(values, axis=1, out=values)
-    gf = GridField(
-        lattice,
-        values,
-        node_kind="midpoint",
-        meta={"n": float(n), "seed": int(seed)},
-    )
-    return SheetSample(field=gf, model=model, n=float(n), seed=int(seed))
+        np.cumsum(acc, axis=0, out=acc)
+    np.cumsum(acc, axis=1, out=acc)
+    counts, values = (acc, _jump_values(jd.h, acc)) if fixed else (None, acc)
+    gf = GridField(lattice, values, node_kind="midpoint",
+                   meta={"n": float(n), "seed": int(seed)})
+    return SheetSample(field=gf, model=model, n=float(n), seed=int(seed), counts=counts)

@@ -29,7 +29,7 @@ from .levy import (
     normalizing_constant,
     unit_jump_poisson,
 )
-from .sheet import GridField, Lattice, simulate_sheet
+from .sheet import GridField, Lattice, SheetSample, _jump_values, simulate_sheet
 
 __all__ = [
     "ThetaSpec",
@@ -174,58 +174,33 @@ def _root_xy(m: int) -> np.ndarray:
     return root
 
 
-def _lattice_counts(model: LevyModel, values: np.ndarray):
-    """(counts, steps) with values == steps[counts] bit for bit, where
-    steps[k] = h * k, when the model moves only by jumps of one size h and
-    the values lie on its lattice; None otherwise.
-
-    Every value then is one of counts.max() + 1 steps, so a transform of the
-    values can be tabulated per step and gathered by count."""
-    jd = model.jump_dist
-    if model.sigma != 0.0 or model.drift != 0.0 or not isinstance(jd, Deterministic):
-        return None
-    if values.dtype != np.float64:
-        return None
-    k = values / jd.h
-    np.rint(k, out=k)
-    top = k.max()
-    # NaN fails both tests; a table longer than the field would cost more
-    # than transforming the field itself.
-    if not (k.min() >= 0.0 and top < k.size):
-        return None
-    counts = k.astype(np.intp)
-    steps = jd.h * np.arange(int(top) + 1)
-    # A sheet's empty cells hold +0.0, while h * 0 is -0.0 for h < 0, and
-    # sin keeps the sign of a zero.
-    steps[0] = 0.0
-    if not np.array_equal(steps[counts].view(np.uint64), values.view(np.uint64)):
-        return None
-    return counts, steps
-
-
 _PARITY = np.array([1.0, -1.0])
 _PARITY.setflags(write=False)
 
 
-def theta_values_from_sheet(spec: ThetaSpec, sheet_values: np.ndarray, lattice: Lattice) -> np.ndarray:
+def theta_values_from_sheet(spec: ThetaSpec, sheet: SheetSample) -> np.ndarray:
     """Kernel values n K sqrt(xy) f(L) at the midpoints from the sheet
-    values L there. Sheets of a pure fixed-jump model take a per-count table
-    of f; the bytes equal those of the direct elementwise transform."""
-    root_xy = _root_xy(lattice.m)
-    lattice_counts = _lattice_counts(spec.model, np.asarray(sheet_values))
+    values L there. A count sheet (L = h * N) takes a per-count table of f
+    gathered by N; the bytes equal those of the elementwise transform."""
+    values, counts = sheet.field.values, sheet.counts
+    root_xy = _root_xy(sheet.field.lattice.m)
+    # counts are prefix sums of nonnegative draws, so the corner holds the
+    # maximum; a table longer than the field would cost more than it saves
+    if counts is not None and counts[-1, -1] >= counts.size:
+        counts = None
     if spec.kind == "KacStroock":
         # sheet values are exact integer counts (unit jumps); parity flips sign
-        if lattice_counts is None:
-            parity = 1.0 - 2.0 * np.mod(sheet_values, 2.0)
+        if counts is None:
+            parity = 1.0 - 2.0 * np.mod(values, 2.0)
         else:
-            parity = _PARITY[lattice_counts[0] & 1]
+            parity = _PARITY[counts & 1]
         return spec.n * root_xy * parity
     k = spec.normalizer()
     wave_of = np.cos if spec.kind == "LevyCos" else np.sin
-    if lattice_counts is None:
-        wave = wave_of(spec.angle * sheet_values)
+    if counts is None:
+        wave = wave_of(spec.angle * values)
     else:
-        counts, steps = lattice_counts
+        steps = _jump_values(sheet.model.jump_dist.h, np.arange(counts[-1, -1] + 1))
         wave = wave_of(spec.angle * steps)[counts]
     return spec.n * k * root_xy * wave
 
@@ -248,8 +223,7 @@ def realize_theta(spec: ThetaSpec, lattice: Lattice, seed: int) -> ThetaField:
     """One random-kernel realization from one Lévy-sheet draw evaluated
     exactly at the scaled midpoints."""
     sheet = simulate_sheet(spec.model, spec.n, lattice, seed)
-    vals = theta_values_from_sheet(spec, sheet.field.values, lattice)
-    gf = GridField(lattice, vals, node_kind="midpoint",
+    gf = GridField(lattice, theta_values_from_sheet(spec, sheet), node_kind="midpoint",
                    meta={"theta_kind": spec.kind, "seed": seed})
     return ThetaField(field=gf, spec=spec, seed=seed)
 
@@ -262,11 +236,10 @@ def realize_theta_pair(
     everything but the kind."""
     _check_coupled_pair(cos_spec, sin_spec)
     sheet = simulate_sheet(cos_spec.model, cos_spec.n, lattice, seed)
-    sv = sheet.field.values
     tag_c = (seed, "pair")
     out = []
     for spec in (cos_spec, sin_spec):
-        gf = GridField(lattice, theta_values_from_sheet(spec, sv, lattice),
+        gf = GridField(lattice, theta_values_from_sheet(spec, sheet),
                        node_kind="midpoint",
                        meta={"theta_kind": spec.kind, "seed": seed, "coupled": True})
         out.append(ThetaField(field=gf, spec=spec, seed=seed, coupled_tag=tag_c))

@@ -442,6 +442,50 @@ def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch):
     assert "workers=0" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("override, field", [
+    ("lattice_m=abc", "lattice_m"),
+    ('n_schedule=["x"]', "n_schedule"),
+    ("replicates=2.9", "replicates"),
+    ("zero_mean=no", "zero_mean"),
+])
+def test_malformed_config_values_exit_2(override, field, tmp_path, capsys):
+    """Values of the wrong type are a ConfigError naming the field, not a
+    traceback, a truncation or a truthy string."""
+    argv = ["covariance", "--preset", "brownian-baseline", *SMALL,
+            "--set", override, "--out", str(tmp_path / "o")]
+    code, payload = _cli(capsys, argv)
+    assert code == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert field in payload["error"]["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("brownian-baseline", ("master_seed",), True),
+    ("brownian-baseline", ("lattice_m",), 16.0),
+    ("brownian-baseline", ("replicates",), "60"),
+    ("brownian-baseline", ("eval_grid",), {"s_points": ["x"], "t_points": [1.0]}),
+    ("fbm-wave", ("theta", "m_guard"), 2.0),
+    ("fbm-wave", ("theta", "angle"), "wide"),
+    ("fbm-wave", ("zero_mean",), 1),
+    ("fbm-wave", ("window_scaling",),
+     {"m_order": 2.0, "base_rect": [0, 1, 0, 1], "windows": [[0.5, 0.75, 0.5, 0.75]]}),
+    ("fbm-wave", ("window_scaling",),
+     {"m_order": 2, "base_rect": [0, 1, 0, "x"], "windows": [[0.5, 0.75, 0.5, 0.75]]}),
+    ("fbm-wave", ("window_scaling",),
+     {"m_order": 2, "base_rect": [0, 1, 0, 1], "windows": [[0.5, 0.75, 0.5, 0.75]],
+      "gamma": "steep"}),
+])
+def test_config_fields_reject_wrong_types(name, path, value):
+    obj = preset(name)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ConfigError, match=path[-1]):
+        config_from_json_obj(obj)
+
+
 def test_missing_config_file_exits_4(tmp_path, capsys):
     code, payload = _cli(
         capsys,

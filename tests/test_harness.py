@@ -591,7 +591,7 @@ def test_window_scaling_probe_matches_inline_mask_reference(monkeypatch):
     incs = np.empty((r, len(windows)))
     for i in range(r):
         sheet = simulate_sheet(spec.model, spec.n, lat, mix64(seed, i))
-        th = theta_values_from_sheet(spec, sheet.field.values, lat)
+        th = theta_values_from_sheet(spec, sheet)
         incs[i] = np.einsum("wi,iw->w", u_rows, th @ v_rows.T)
     powers = incs**2
     vals = powers.mean(axis=0)

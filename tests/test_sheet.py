@@ -135,6 +135,44 @@ def test_in_place_prefix_sums_match_cumsum_bytes(name, m, row_sweep, monkeypatch
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _poisson_count_sheet(rate, n, lattice, seed):
+    """Reference oracle: the node counts as the two out-of-place cumsums of
+    the sheet's single Poisson draw."""
+    w = lattice.partition_widths()
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    return rng.poisson(rate * n * np.outer(w, w)).cumsum(axis=0).cumsum(axis=1)
+
+
+@pytest.mark.parametrize("row_sweep", [True, False], ids=["row-sweep", "cumsum"])
+@pytest.mark.parametrize("h", [1.0, -1.0, 0.5, 0.1, 2.0])
+def test_fixed_jump_sheets_carry_their_counts(h, row_sweep, monkeypatch):
+    """A pure Deterministic(h) sheet keeps its integer count sheet N, and its
+    values are h * N, one rounding per node, with +0.0 in empty cells."""
+    monkeypatch.setattr(sheet_module, "_ROW_SWEEP_MIN_M", 1 if row_sweep else 64)
+    lat = Lattice(16)
+    model = LevyModel(jump_rate=1.5, jump_dist=Deterministic(h))
+    sheet = simulate_sheet(model, 30.0, lat, seed=8)
+    want = _poisson_count_sheet(1.5, 30.0, lat, 8)
+    assert sheet.counts.dtype == np.int64
+    np.testing.assert_array_equal(sheet.counts, want)
+    assert np.any(want == 0) and np.any(want > 0)
+    values = np.where(want == 0, 0.0, h * want)
+    assert not np.signbit(values[want == 0]).any()
+    assert sheet.field.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    LevyModel(sigma=0.7),
+    LevyModel(sigma=0.2, jump_rate=1.0, jump_dist=Deterministic(1.0)),
+    LevyModel(drift=-0.3, jump_rate=1.0, jump_dist=Deterministic(1.0)),
+    LevyModel(jump_rate=1.5, jump_dist=TwoPoint(1.0, -2.0, 0.3)),
+    LevyModel(jump_rate=1.0, jump_dist=GaussianJump(0.1, 0.5)),
+    LevyModel(jump_rate=0.0, jump_dist=Deterministic(1.0)),
+], ids=["brownian", "sigma+jumps", "drift+jumps", "two-point", "gaussian-jump", "rate-0"])
+def test_other_sheets_carry_no_counts(model):
+    assert simulate_sheet(model, 30.0, Lattice(16), seed=8).counts is None
+
+
 def test_simulate_sheet_validates_n():
     with pytest.raises(OutOfRange):
         simulate_sheet(unit_jump_poisson(), 0.0, Lattice(4), seed=1)

@@ -1,4 +1,5 @@
 """Random-kernel fields: parity and wave kinds, coupling, integration."""
+import dataclasses
 import json
 import math
 
@@ -9,9 +10,11 @@ from sheetforge import (
     ConfigError,
     DegenerateAngle,
     Deterministic,
+    GridField,
     Lattice,
     LevyModel,
     OutOfRange,
+    SheetSample,
     ThetaSpec,
     integrate_field,
     kac_stroock,
@@ -25,7 +28,6 @@ from sheetforge import (
     theta_values_from_sheet,
     unit_jump_poisson,
 )
-from sheetforge.theta import _lattice_counts
 
 ROOT2 = math.sqrt(2.0)
 
@@ -95,24 +97,29 @@ def test_rate_zero_parity_diagnostic_is_deterministic():
     np.testing.assert_array_equal(th.values, _envelope(25.0, lat))
 
 
+def _frozen_sheet(model, values, counts=None):
+    lat = Lattice(values.shape[0])
+    return SheetSample(GridField(lat, values), model, 9.0, 0, counts=counts)
+
+
 def test_wave_fields_on_a_frozen_sheet():
     lat = Lattice(4)
-    spec_c = levy_cos(unit_jump_poisson(), 9.0, 1.3)
-    spec_s = levy_sin(unit_jump_poisson(), 9.0, 1.3)
-    zero_sheet = np.zeros((4, 4))
+    unit = unit_jump_poisson()
+    spec_c = levy_cos(unit, 9.0, 1.3)
+    spec_s = levy_sin(unit, 9.0, 1.3)
+    zero_sheet = _frozen_sheet(unit, np.zeros((4, 4)))
     k = spec_c.normalizer()
-    np.testing.assert_array_equal(
-        theta_values_from_sheet(spec_c, zero_sheet, lat), 9.0 * k * np.sqrt(
-            np.outer(lat.midpoints(), lat.midpoints()))
-    )
-    np.testing.assert_array_equal(
-        theta_values_from_sheet(spec_s, zero_sheet, lat), np.zeros((4, 4))
-    )
-    counts = np.arange(16.0).reshape(4, 4)
     env = 9.0 * k * np.sqrt(np.outer(lat.midpoints(), lat.midpoints()))
+    np.testing.assert_array_equal(theta_values_from_sheet(spec_c, zero_sheet), env)
     np.testing.assert_array_equal(
-        theta_values_from_sheet(spec_c, counts, lat), env * np.cos(1.3 * counts)
+        theta_values_from_sheet(spec_s, zero_sheet), np.zeros((4, 4))
     )
+    counts = np.arange(16).reshape(4, 4)
+    for sheet in (_frozen_sheet(unit, counts * 1.0),
+                  _frozen_sheet(unit, counts * 1.0, counts=counts)):
+        np.testing.assert_array_equal(
+            theta_values_from_sheet(spec_c, sheet), env * np.cos(1.3 * counts)
+        )
 
 
 def _reference_theta(spec, sheet_values, lattice):
@@ -137,55 +144,56 @@ def _fixed_jump(h: float) -> LevyModel:
     return LevyModel(sigma=0.0, drift=0.0, jump_rate=1.0, jump_dist=Deterministic(h))
 
 
+def _specs_for(model, n):
+    specs = [levy_cos(model, n, 1.0), levy_sin(model, n, 1.0)]
+    if model == unit_jump_poisson():
+        specs.append(kac_stroock(n))
+    return specs
+
+
 @pytest.mark.parametrize("m, n", [(7, 40.0), (64, 400.0)])
-@pytest.mark.parametrize("h", [1.0, -1.0, 0.5, 2.0])
+@pytest.mark.parametrize("h", [1.0, -1.0, 0.5, 0.1, 2.0])
 def test_lattice_sheets_take_the_count_table_byte_identically(h, m, n):
     """n keeps the largest count below M^2, the longest table taken."""
     lat = Lattice(m)
-    model = _fixed_jump(h)
-    sv = simulate_sheet(model, n, lat, seed=31 + m).field.values
-    assert _lattice_counts(model, sv) is not None
+    sheet = simulate_sheet(_fixed_jump(h), n, lat, seed=31 + m)
+    counts = sheet.counts
+    assert counts[-1, -1] == counts.max() and 0 < counts.max() < counts.size
     # empty cells hold +0.0; for h < 0 the table's zero step must too
-    assert np.any(sv == 0.0) and np.any(sv != 0.0)
-    specs = [levy_cos(model, n, 1.0), levy_sin(model, n, 1.0)]
-    if h == 1.0:
-        specs.append(kac_stroock(n))
-    for spec in specs:
-        got = theta_values_from_sheet(spec, sv, lat)
-        assert _same_bytes(got, _reference_theta(spec, sv, lat)), spec.kind
+    assert np.any(counts == 0)
+    # the table is read by count alone: the values are not looked at
+    blind = dataclasses.replace(sheet, field=GridField(lat, np.full((m, m), np.nan)))
+    for spec in _specs_for(sheet.model, n):
+        want = _reference_theta(spec, sheet.field.values, lat)
+        assert _same_bytes(theta_values_from_sheet(spec, sheet), want), spec.kind
+        assert _same_bytes(theta_values_from_sheet(spec, blind), want), spec.kind
 
 
-def _perturbed(values, index, value):
-    out = values.copy()
-    out[index] = value
-    return out
+@pytest.mark.parametrize("h", [1.0, -1.0, 0.1])
+def test_count_sheets_past_the_table_size_take_the_elementwise_path(h):
+    """A largest count of M^2 or more skips the table: the values, not the
+    counts, then give theta, with the bytes of the elementwise transform."""
+    lat = Lattice(7)
+    sheet = simulate_sheet(_fixed_jump(h), 400.0, lat, seed=3)
+    assert sheet.counts.max() >= sheet.counts.size
+    shifted = dataclasses.replace(sheet, counts=sheet.counts + 1)
+    for spec in _specs_for(sheet.model, 400.0):
+        want = _reference_theta(spec, sheet.field.values, lat)
+        assert _same_bytes(theta_values_from_sheet(spec, sheet), want), spec.kind
+        assert _same_bytes(theta_values_from_sheet(spec, shifted), want), spec.kind
 
 
-def test_off_lattice_values_fall_back_byte_identically():
+def test_sheets_without_counts_take_the_elementwise_path():
     lat = Lattice(16)
-    unit = unit_jump_poisson()
-    sv = simulate_sheet(unit, 100.0, lat, seed=5).field.values
-    tenth = _fixed_jump(0.1)
-    noisy = LevyModel(sigma=0.5, drift=0.0, jump_rate=1.0, jump_dist=Deterministic(1.0))
-    drifting = LevyModel(sigma=0.0, drift=0.25, jump_rate=1.0, jump_dist=Deterministic(1.0))
-    cases = [
-        (tenth, simulate_sheet(tenth, 100.0, lat, seed=5).field.values),
-        (unit, _perturbed(sv, (3, 4), sv[3, 4] + 0.5)),
-        (unit, _perturbed(sv, (0, 0), -1.0)),
-        (unit, _perturbed(sv, (2, 9), np.nan)),
-        (unit, _perturbed(sv, (0, 0), -0.0)),
-        (unit, np.full((16, 16), 1000.0)),
-        (noisy, simulate_sheet(noisy, 100.0, lat, seed=5).field.values),
-        (drifting, simulate_sheet(drifting, 100.0, lat, seed=5).field.values),
-    ]
-    for i, (model, values) in enumerate(cases):
-        assert _lattice_counts(model, values) is None, i
-        specs = [levy_cos(model, 100.0, 1.0), levy_sin(model, 100.0, 1.0)]
-        if model == unit:
-            specs.append(kac_stroock(100.0))
-        for spec in specs:
-            got = theta_values_from_sheet(spec, values, lat)
-            assert _same_bytes(got, _reference_theta(spec, values, lat)), (i, spec.kind)
+    for model in (
+        LevyModel(sigma=0.5, jump_rate=1.0, jump_dist=Deterministic(1.0)),
+        LevyModel(drift=0.25, jump_rate=1.0, jump_dist=Deterministic(1.0)),
+    ):
+        sheet = simulate_sheet(model, 100.0, lat, seed=5)
+        assert sheet.counts is None
+        for spec in _specs_for(model, 100.0):
+            want = _reference_theta(spec, sheet.field.values, lat)
+            assert _same_bytes(theta_values_from_sheet(spec, sheet), want), spec.kind
 
 
 def test_wave_envelope_bound_holds_pointwise():
