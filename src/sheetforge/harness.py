@@ -272,30 +272,24 @@ class CovarianceReport:
             f"max |dev|/SE = {self.max_std_deviation:.2f}",
             "  i   j   (s,t)            (s',t')          empirical    theory       dev        SE",
         ]
-        n = len(self.points)
-        for i in range(n):
-            for j in range(i, n):
-                p, q = self.points[i], self.points[j]
-                lines.append(
-                    f"{i:3d} {j:3d}   ({p[0]:.3f},{p[1]:.3f})   ({q[0]:.3f},{q[1]:.3f})"
-                    f"   {self.empirical[i, j]:+.6f}   {self.theoretical[i, j]:+.6f}"
-                    f"   {self.deviations[i, j]:+.5f}   {self.std_errors[i, j]:.5f}"
-                )
+        cells = [f"({s:.3f},{t:.3f})" for s, t in self.points]
+        rows = zip(cells, self.empirical.tolist(), self.theoretical.tolist(),
+                   self.deviations.tolist(), self.std_errors.tolist())
+        for i, (p, emp, theo, dev, se) in enumerate(rows):
+            for j in range(i, len(cells)):
+                lines.append(f"{i:3d} {j:3d}   {p}   {cells[j]}   {emp[j]:+.6f}   {theo[j]:+.6f}"
+                             f"   {dev[j]:+.5f}   {se[j]:.5f}")
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path) -> None:
+        cells = [f"{s!r},{t!r}" for s, t in self.points]
+        rows = zip(cells, self.empirical.tolist(), self.std_errors.tolist(),
+                   self.theoretical.tolist())
         with open(path, "w") as fh:
             fh.write("i,j,s,t,s2,t2,empirical,std_error,theoretical\n")
-            n = len(self.points)
-            for i in range(n):
-                for j in range(n):
-                    p, q = self.points[i], self.points[j]
-                    fh.write(
-                        f"{i},{j},{p[0]!r},{p[1]!r},{q[0]!r},{q[1]!r},"
-                        f"{float(self.empirical[i, j])!r},"
-                        f"{float(self.std_errors[i, j])!r},"
-                        f"{float(self.theoretical[i, j])!r}\n"
-                    )
+            for i, (p, emp, se, theo) in enumerate(rows):
+                fh.writelines(f"{i},{j},{p},{q},{e_j!r},{se_j!r},{t_j!r}\n"
+                              for j, (q, e_j, se_j, t_j) in enumerate(zip(cells, emp, se, theo)))
 
 
 def default_zero_mean(spec: ThetaSpec) -> bool:

@@ -3,9 +3,9 @@
 The lattice has M nodes per axis at x_i = (i - 1/2)/M. The sheet partition
 per axis is [0, x_1], (x_1, x_2], ..., (x_{M-1}, x_M] (first cell half-width),
 so cumulative sums of independent per-cell increments give the sheet value
-exactly AT the midpoints. Quadrature over theta fields elsewhere in the
-package uses the uniform midpoint-rule weight 1/M; the two weight systems
-are intentionally distinct.
+exactly AT the midpoints (a pure fixed-jump sheet bins Poisson uniform
+points onto it). Quadrature over theta fields elsewhere uses the uniform
+midpoint-rule weight 1/M; the two weight systems are intentionally distinct.
 """
 from __future__ import annotations
 
@@ -201,11 +201,22 @@ class SheetSample:
     jumps at a positive rate) the sheet is h * N with N a Poisson count
     sheet; counts then holds N (int64, same shape), otherwise None."""
 
-    field: GridField
+    field: Optional[GridField]
     model: LevyModel
     n: float
     seed: int
     counts: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.field is None:
+            del self.field  # a count sheet: __getattr__ builds h * N when read
+
+    def __getattr__(self, name: str):
+        if name != "field":
+            raise AttributeError(name)
+        values = _jump_values(self.model.jump_dist.h, self.counts)
+        self.field = GridField(Lattice(len(values)), values, meta={"n": self.n, "seed": self.seed})
+        return self.field
 
 
 def sample_increments(model: LevyModel, areas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -255,26 +266,32 @@ def simulate_sheet(model: LevyModel, n: float, lattice: Lattice, seed: int) -> S
 
     Cell areas in the scaled domain are n * w_i * w_j with w the partition
     widths; node values are cumulative rectangular sums of the independent
-    per-cell increments. A pure fixed-jump model sums its integer counts N
-    (its one draw, as in sample_increments) and scales once: values h * N.
-    Deterministic given (model, n, lattice.m, seed)."""
+    per-cell increments. A pure fixed-jump model returns its counts N (.field
+    builds h * N when read), drawn in this order if rate * n <= M^2: T ~
+    Poisson(rate * n * (1 - 1/(2M))^2), then T row and T column uniforms U
+    (rng.random((2, T)), rows first), each binned to cell min(floor(U * (M -
+    1/2) + 1/2), M - 1); given T, the multinomial law of independent
+    Poisson(rate * n * w_i * w_j) cells (Devroye 1986). Otherwise one Poisson
+    per cell, row-major. Deterministic given (model, n, lattice.m, seed)."""
     if not (math.isfinite(n) and n > 0):
         raise OutOfRange(f"n={n} must be finite and > 0")
-    w = lattice.partition_widths()
-    areas = n * np.outer(w, w)
+    m, rate, jd = lattice.m, model.jump_rate, model.jump_dist
     rng = np.random.default_rng(np.random.PCG64(seed))
-    jd = model.jump_dist
-    fixed = (model.sigma == 0.0 and model.drift == 0.0 and model.jump_rate > 0.0
-             and isinstance(jd, Deterministic))
-    acc = rng.poisson(model.jump_rate * areas) if fixed else sample_increments(model, areas, rng)
+    fixed = model.sigma == model.drift == 0.0 and rate > 0.0 and isinstance(jd, Deterministic)
+    if fixed and rate * n <= m * m:
+        total = rng.poisson(rate * n * (1.0 - 0.5 / m) ** 2)
+        rows, cols = np.minimum((rng.random((2, total)) * (m - 0.5) + 0.5).astype(np.int64), m - 1)
+        acc = np.bincount(rows * m + cols, minlength=m * m).reshape(m, m)
+    else:
+        w = lattice.partition_widths()
+        areas = n * np.outer(w, w)
+        acc = rng.poisson(rate * areas) if fixed else sample_increments(model, areas, rng)
     # Prefix sums in place, in the association of cumsum(axis=0).cumsum(axis=1).
-    if lattice.m >= _ROW_SWEEP_MIN_M:
-        for i in range(1, lattice.m):
+    if m >= _ROW_SWEEP_MIN_M:
+        for i in range(1, m):
             np.add(acc[i - 1], acc[i], out=acc[i])
     else:
         np.cumsum(acc, axis=0, out=acc)
     np.cumsum(acc, axis=1, out=acc)
-    counts, values = (acc, _jump_values(jd.h, acc)) if fixed else (None, acc)
-    gf = GridField(lattice, values, node_kind="midpoint",
-                   meta={"n": float(n), "seed": int(seed)})
-    return SheetSample(field=gf, model=model, n=float(n), seed=int(seed), counts=counts)
+    gf = None if fixed else GridField(lattice, acc, meta={"n": float(n), "seed": int(seed)})
+    return SheetSample(gf, model, float(n), int(seed), counts=acc if fixed else None)

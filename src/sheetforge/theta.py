@@ -182,8 +182,8 @@ def theta_values_from_sheet(spec: ThetaSpec, sheet: SheetSample) -> np.ndarray:
     """Kernel values n K sqrt(xy) f(L) at the midpoints from the sheet
     values L there. A count sheet (L = h * N) takes a per-count table of f
     gathered by N; the bytes equal those of the elementwise transform."""
-    values, counts = sheet.field.values, sheet.counts
-    root_xy = _root_xy(sheet.field.lattice.m)
+    counts = sheet.counts
+    root_xy = _root_xy(sheet.field.lattice.m if counts is None else len(counts))
     # counts are prefix sums of nonnegative draws, so the corner holds the
     # maximum; a table longer than the field would cost more than it saves
     if counts is not None and counts[-1, -1] >= counts.size:
@@ -191,14 +191,14 @@ def theta_values_from_sheet(spec: ThetaSpec, sheet: SheetSample) -> np.ndarray:
     if spec.kind == "KacStroock":
         # sheet values are exact integer counts (unit jumps); parity flips sign
         if counts is None:
-            parity = 1.0 - 2.0 * np.mod(values, 2.0)
+            parity = 1.0 - 2.0 * np.mod(sheet.field.values, 2.0)
         else:
             parity = _PARITY[counts & 1]
         return spec.n * root_xy * parity
     k = spec.normalizer()
     wave_of = np.cos if spec.kind == "LevyCos" else np.sin
     if counts is None:
-        wave = wave_of(spec.angle * values)
+        wave = wave_of(spec.angle * sheet.field.values)
     else:
         steps = _jump_values(sheet.model.jump_dist.h, np.arange(counts[-1, -1] + 1))
         wave = wave_of(spec.angle * steps)[counts]

@@ -447,10 +447,17 @@ def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch):
     ('n_schedule=["x"]', "n_schedule"),
     ("replicates=2.9", "replicates"),
     ("zero_mean=no", "zero_mean"),
+    ("theta.model.jump_rate=-1", "jump_rate"),
+    ('theta.model.jump_rate="x"', "'x'"),
+    ("theta.model.jump_rate=true", "jump_rate"),
+    ("eval_grid.s_points=[0.5,1.5]", "s_points"),
+    ('bilinear_pairs=[[{"breaks":[0,2],"values":[1]},{"breaks":[0,1],"values":[1]}]]',
+     "breaks"),
 ])
 def test_malformed_config_values_exit_2(override, field, tmp_path, capsys):
-    """Values of the wrong type are a ConfigError naming the field, not a
-    traceback, a truncation or a truthy string."""
+    """Values of the wrong type or range are a ConfigError naming the field
+    (or the value), not a traceback, a domain error, a truncation or a
+    truthy value."""
     argv = ["covariance", "--preset", "brownian-baseline", *SMALL,
             "--set", override, "--out", str(tmp_path / "o")]
     code, payload = _cli(capsys, argv)
@@ -475,6 +482,13 @@ def test_malformed_config_values_exit_2(override, field, tmp_path, capsys):
     ("fbm-wave", ("window_scaling",),
      {"m_order": 2, "base_rect": [0, 1, 0, 1], "windows": [[0.5, 0.75, 0.5, 0.75]],
       "gamma": "steep"}),
+    ("fbm-wave", ("window_scaling",),
+     {"m_order": 2, "base_rect": [0, 1, 0, 1], "windows": [[0.5, 0.75, 0.5, 0.75]],
+      "gamma": True}),
+    ("fbm-wave", ("bilinear_pairs",),
+     [[{"breaks": [0.0, 1.0]}, {"breaks": [0.0, 1.0], "values": [1.0]}]]),
+    ("fbm-wave", ("bilinear_pairs",),
+     [[{"breaks": [0.0, True], "values": [1.0]}, {"breaks": [0.0, 1.0], "values": [1.0]}]]),
 ])
 def test_config_fields_reject_wrong_types(name, path, value):
     obj = preset(name)

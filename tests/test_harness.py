@@ -223,6 +223,58 @@ def test_covariance_report_serialization_and_floor(tmp_path):
     assert small.deviations[ij] == pytest.approx(0.04)
 
 
+def _reference_report_text(rep):
+    """Reference rendering: the per-entry loop that indexes the numpy arrays
+    (and recomputes the deviations) entry by entry."""
+    lines = [
+        f"covariance report: {len(rep.points)} points, "
+        f"{rep.replicates} replicates, "
+        f"estimator={'zero-mean' if rep.zero_mean else 'mean-subtracted'}",
+        f"max |dev| = {rep.max_abs_deviation:.5f}   "
+        f"max |dev|/SE = {rep.max_std_deviation:.2f}",
+        "  i   j   (s,t)            (s',t')          empirical    theory       dev        SE",
+    ]
+    n = len(rep.points)
+    for i in range(n):
+        for j in range(i, n):
+            p, q = rep.points[i], rep.points[j]
+            lines.append(
+                f"{i:3d} {j:3d}   ({p[0]:.3f},{p[1]:.3f})   ({q[0]:.3f},{q[1]:.3f})"
+                f"   {rep.empirical[i, j]:+.6f}   {rep.theoretical[i, j]:+.6f}"
+                f"   {rep.deviations[i, j]:+.5f}   {rep.std_errors[i, j]:.5f}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _reference_report_csv(rep):
+    out = ["i,j,s,t,s2,t2,empirical,std_error,theoretical\n"]
+    n = len(rep.points)
+    for i in range(n):
+        for j in range(n):
+            p, q = rep.points[i], rep.points[j]
+            out.append(
+                f"{i},{j},{p[0]!r},{p[1]!r},{q[0]!r},{q[1]!r},"
+                f"{float(rep.empirical[i, j])!r},"
+                f"{float(rep.std_errors[i, j])!r},"
+                f"{float(rep.theoretical[i, j])!r}\n"
+            )
+    return "".join(out)
+
+
+def test_covariance_report_writers_match_the_entrywise_rendering(tmp_path):
+    """Text and CSV read whole rows as Python floats; their bytes equal the
+    entry-by-entry rendering, signed zeros, tiny and huge values included."""
+    rng = np.random.default_rng(11)
+    pts = tuple((s, t) for s in (0.25, 0.5, 1.0 / 3.0) for t in (0.1, 1.0))
+    emp = rng.standard_normal((6, 6)) * np.logspace(-12, 8, 36).reshape(6, 6)
+    emp[0, 1], emp[2, 2] = -0.0, 0.0
+    rep = CovarianceReport(pts, emp, np.abs(rng.standard_normal((6, 6))) / 7.0,
+                           rng.standard_normal((6, 6)), 321, False)
+    assert rep.to_text() == _reference_report_text(rep)
+    rep.to_csv(tmp_path / "cov.csv")
+    assert (tmp_path / "cov.csv").read_bytes() == _reference_report_csv(rep).encode()
+
+
 def test_default_zero_mean_policy():
     assert default_zero_mean(kac_stroock(10.0)) is True
     assert default_zero_mean(levy_cos(unit_jump_poisson(), 10.0, 1.0)) is False
@@ -346,6 +398,25 @@ def test_every_replicate_loop_draws_once_per_replicate(monkeypatch):
         calls.clear()
         run()
         assert calls == {"sheet": r, "theta": thetas_per_draw * r}
+
+
+def test_the_engine_never_builds_the_field_of_a_count_sheet(monkeypatch):
+    """Count sheets reach theta as int64 counts: the replicate engine never
+    reads .field, so the float h * N field is never built."""
+    sheets = []
+
+    def keeping(*args):
+        sheets.append(simulate_sheet(*args))
+        return sheets[-1]
+
+    monkeypatch.setattr(harness, "simulate_sheet", keeping)
+    lat, k, grid = Lattice(16), Indicator(), EvalGrid.square((0.5, 1.0))
+    cos_spec = levy_cos(unit_jump_poisson(), 20.0, 1.0)
+    sin_spec = levy_sin(unit_jump_poisson(), 20.0, 1.0)
+    generate_replicates(kac_stroock(20.0), k, k, grid, lat, 4, 1, workers=2)
+    generate_coupled_replicates(cos_spec, sin_spec, k, k, grid, lat, 4, 1, workers=2)
+    assert len(sheets) == 8
+    assert all(s.counts is not None and "field" not in vars(s) for s in sheets)
 
 
 # -- independence probe --------------------------------------------------------

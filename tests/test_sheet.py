@@ -103,12 +103,37 @@ def test_sheet_determinism_and_seed_sensitivity():
     assert not np.array_equal(one.field.values, other.field.values)
 
 
+def _reference_counts(rate, n, lattice, seed):
+    """Reference oracle: a fixed-jump sheet's cell counts, replaying the
+    documented draw order point by point. With rate * n <= M^2: the total
+    T ~ Poisson(rate n (1 - 1/(2M))^2), then T row and T column uniforms,
+    each binned to min(floor(U (M - 1/2) + 1/2), M - 1); above, one Poisson
+    per cell."""
+    m = lattice.m
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    if rate * n > m * m:
+        w = lattice.partition_widths()
+        return rng.poisson(rate * n * np.outer(w, w))
+    total = rng.poisson(rate * n * (1.0 - 1.0 / (2 * m)) ** 2)
+    rows, cols = rng.random(total), rng.random(total)
+    counts = np.zeros((m, m), dtype=np.int64)
+    for u, v in zip(rows.tolist(), cols.tolist()):
+        counts[min(math.floor(u * (m - 0.5) + 0.5), m - 1),
+               min(math.floor(v * (m - 0.5) + 0.5), m - 1)] += 1
+    return counts
+
+
 def _reference_sheet(model, n, lattice, seed):
     """Reference oracle: the node values as the two out-of-place cumsums of
-    the same increment draw."""
-    w = lattice.partition_widths()
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    inc = sample_increments(model, n * np.outer(w, w), rng)
+    the same increment draw. A pure fixed-jump model's increments are h
+    times its replayed cell counts, +0.0 in empty cells."""
+    jd = model.jump_dist
+    if model.sigma == 0.0 and model.drift == 0.0 and isinstance(jd, Deterministic):
+        inc = jd.h * _reference_counts(model.jump_rate, n, lattice, seed) + 0.0
+    else:
+        w = lattice.partition_widths()
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        inc = sample_increments(model, n * np.outer(w, w), rng)
     return inc.cumsum(axis=0).cumsum(axis=1)
 
 
@@ -135,14 +160,6 @@ def test_in_place_prefix_sums_match_cumsum_bytes(name, m, row_sweep, monkeypatch
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def _poisson_count_sheet(rate, n, lattice, seed):
-    """Reference oracle: the node counts as the two out-of-place cumsums of
-    the sheet's single Poisson draw."""
-    w = lattice.partition_widths()
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    return rng.poisson(rate * n * np.outer(w, w)).cumsum(axis=0).cumsum(axis=1)
-
-
 @pytest.mark.parametrize("row_sweep", [True, False], ids=["row-sweep", "cumsum"])
 @pytest.mark.parametrize("h", [1.0, -1.0, 0.5, 0.1, 2.0])
 def test_fixed_jump_sheets_carry_their_counts(h, row_sweep, monkeypatch):
@@ -152,7 +169,8 @@ def test_fixed_jump_sheets_carry_their_counts(h, row_sweep, monkeypatch):
     lat = Lattice(16)
     model = LevyModel(jump_rate=1.5, jump_dist=Deterministic(h))
     sheet = simulate_sheet(model, 30.0, lat, seed=8)
-    want = _poisson_count_sheet(1.5, 30.0, lat, 8)
+    assert "field" not in vars(sheet)  # the float field is built on first read
+    want = _reference_counts(1.5, 30.0, lat, 8).cumsum(axis=0).cumsum(axis=1)
     assert sheet.counts.dtype == np.int64
     np.testing.assert_array_equal(sheet.counts, want)
     assert np.any(want == 0) and np.any(want > 0)
@@ -171,6 +189,74 @@ def test_fixed_jump_sheets_carry_their_counts(h, row_sweep, monkeypatch):
 ], ids=["brownian", "sigma+jumps", "drift+jumps", "two-point", "gaussian-jump", "rate-0"])
 def test_other_sheets_carry_no_counts(model):
     assert simulate_sheet(model, 30.0, Lattice(16), seed=8).counts is None
+
+
+@pytest.mark.parametrize("m, n", [(1, 0.8), (1, 3.0), (4, 16.0), (4, 16.5), (64, 30.0)],
+                         ids=["m1-points", "m1-per-cell", "points-at-M2", "per-cell-past-M2",
+                              "points"])
+def test_fixed_jump_counts_replay_the_documented_draw(m, n):
+    """Point set while rate * n <= M^2 (the boundary included), one Poisson
+    per cell past it; both byte for byte against the replayed draw order."""
+    lat = Lattice(m)
+    sheet = simulate_sheet(unit_jump_poisson(), n, lat, seed=21)
+    want = _reference_counts(1.0, n, lat, 21).cumsum(axis=0).cumsum(axis=1)
+    assert sheet.counts.dtype == np.int64 and sheet.counts.shape == (m, m)
+    np.testing.assert_array_equal(sheet.counts, want)
+
+
+def test_fixed_jump_sheet_without_points_is_all_plus_zero():
+    sheet = simulate_sheet(LevyModel(jump_rate=1.0, jump_dist=Deterministic(-2.0)),
+                           1e-9, Lattice(8), seed=4)
+    assert sheet.counts.dtype == np.int64 and not sheet.counts.any()
+    assert sheet.field.values.tobytes() == np.zeros((8, 8)).tobytes()
+
+
+class _UpperEdgeRng:
+    """Stands in for the generator: three points with every uniform at u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def poisson(self, lam):
+        return 3
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("u", [np.nextafter(1.0, 0.0), 1.0], ids=["1-2^-53", "1"])
+@pytest.mark.parametrize("m", [1, 5, 1024])
+def test_points_at_the_upper_edge_fall_in_the_last_cell(m, u, monkeypatch):
+    """The largest uniform the generator returns, 1 - 2^-53, bins into the
+    last cell; so does 1.0, past its range, through the clip at M - 1."""
+    monkeypatch.setattr(sheet_module.np.random, "default_rng", lambda _: _UpperEdgeRng(u))
+    counts = simulate_sheet(unit_jump_poisson(), 1.0, Lattice(m), seed=0).counts
+    assert counts[-1, -1] == 3 and not counts[:-1].any() and not counts[:, :-1].any()
+
+
+@pytest.mark.parametrize("n", [8.0, 40.0], ids=["points", "per-cell"])
+def test_fixed_jump_counts_follow_the_exact_law(n):
+    """Count sheet N of rate 1.5 at M = 4 over 4000 seeds: E N(x_i, y_j) =
+    rate n x_i y_j and Cov(N(a), N(b)) = rate n min(x_a, x_b) min(y_a, y_b),
+    every one of the 16 means and 136 covariances within 5 SE (z-scores
+    against the exact moments)."""
+    rate, lat, reps = 1.5, Lattice(4), 4000
+    model = LevyModel(jump_rate=rate, jump_dist=Deterministic(1.0))
+    assert (rate * n <= 16) == (n == 8.0)
+    draws = np.array([simulate_sheet(model, n, lat, seed=mix64(2718, r)).counts.ravel()
+                      for r in range(reps)], dtype=float)
+    x = np.repeat(lat.midpoints(), 4)
+    y = np.tile(lat.midpoints(), 4)
+    mean = rate * n * x * y
+    z_mean = (draws.mean(axis=0) - mean) / np.sqrt(mean / reps)
+    cov = rate * n * np.minimum.outer(x, x) * np.minimum.outer(y, y)
+    centred = draws - mean
+    products = centred[:, :, None] * centred[:, None, :]
+    se = products.std(axis=0, ddof=1) / math.sqrt(reps)
+    upper = np.triu_indices(16)
+    z_cov = ((products.mean(axis=0) - cov) / se)[upper]
+    assert np.max(np.abs(z_mean)) <= 5.0
+    assert np.max(np.abs(z_cov)) <= 5.0
 
 
 def test_simulate_sheet_validates_n():
