@@ -203,6 +203,14 @@ def _reals(values, where: str) -> Tuple[float, ...]:
     return tuple(_real(v, where) for v in values)
 
 
+def _component(parse, where: str, *args):
+    """parse(*args) for the config component at where; its errors name where."""
+    try:
+        return parse(*args)
+    except (SheetForgeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def config_from_json_obj(obj: dict) -> ExperimentConfig:
     _check_fields(obj, _TOP_FIELDS, "config")
     version = _require(obj, "schema_version", "config")
@@ -213,46 +221,47 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
     tobj = _require(obj, "theta", "config")
     _check_fields(tobj, _THETA_FIELDS, "config.theta")
     kind = _require(tobj, "kind", "config.theta")
+    model = _component(LevyModel.from_json_obj, "config.theta.model",
+                       _require(tobj, "model", "config.theta"))
+    k1 = _component(kernel_from_json_obj, "config.kernel1", _require(obj, "kernel1", "config"))
+    k2 = _component(kernel_from_json_obj, "config.kernel2", _require(obj, "kernel2", "config"))
+    gobj = _require(obj, "eval_grid", "config")
+    _check_fields(gobj, _GRID_FIELDS, "config.eval_grid")
+    grid = _component(EvalGrid, "config.eval_grid", *(
+        _reals(_require(gobj, axis, "config.eval_grid"), f"config.eval_grid.{axis}")
+        for axis in ("s_points", "t_points")
+    ))
+    angle = tobj.get("angle")
+    m_guard = tobj.get("m_guard")
+    zero_mean = obj.get("zero_mean")
+    if zero_mean is not None and not isinstance(zero_mean, bool):
+        raise ConfigError(f"zero_mean must be true, false or null, got {zero_mean!r}")
+    pairs = []
+    for i, pair in enumerate(obj.get("bilinear_pairs") or ()):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"bilinear_pairs[{i}] must be a [f, g] pair")
+        fg, where = [], f"bilinear_pairs[{i}]"
+        for side in pair:
+            _check_fields(side, {"breaks", "values"}, where)
+            fg.append(_component(StepFunction, where, _require(side, "breaks", where),
+                                 _require(side, "values", where)))
+        pairs.append((fg[0], fg[1]))
+    wobj = obj.get("window_scaling")
+    window = None
+    if wobj is not None:
+        _check_fields(wobj, _WINDOW_FIELDS, "config.window_scaling")
+        where = "config.window_scaling"
+        windows = _require(wobj, "windows", where)
+        if not isinstance(windows, (list, tuple)):
+            raise ConfigError(f"{where}.windows must be a list, got {windows!r}")
+        window = WindowScalingSettings(
+            m_order=_integer(_require(wobj, "m_order", where), f"{where}.m_order"),
+            base_rect=_reals(_require(wobj, "base_rect", where), f"{where}.base_rect"),
+            windows=tuple(_reals(w, f"{where}.windows") for w in windows),
+            gamma=(None if wobj.get("gamma") is None
+                   else _real(wobj["gamma"], f"{where}.gamma")),
+        )
     try:
-        model = LevyModel.from_json_obj(_require(tobj, "model", "config.theta"))
-        k1 = kernel_from_json_obj(_require(obj, "kernel1", "config"))
-        k2 = kernel_from_json_obj(_require(obj, "kernel2", "config"))
-        gobj = _require(obj, "eval_grid", "config")
-        _check_fields(gobj, _GRID_FIELDS, "config.eval_grid")
-        grid = EvalGrid(*(
-            _reals(_require(gobj, axis, "config.eval_grid"), f"config.eval_grid.{axis}")
-            for axis in ("s_points", "t_points")
-        ))
-        angle = tobj.get("angle")
-        m_guard = tobj.get("m_guard")
-        zero_mean = obj.get("zero_mean")
-        if zero_mean is not None and not isinstance(zero_mean, bool):
-            raise ConfigError(f"zero_mean must be true, false or null, got {zero_mean!r}")
-        pairs = []
-        for i, pair in enumerate(obj.get("bilinear_pairs") or ()):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError(f"bilinear_pairs[{i}] must be a [f, g] pair")
-            fg = []
-            for side in pair:
-                _check_fields(side, {"breaks", "values"}, f"bilinear_pairs[{i}]")
-                fg.append(StepFunction(*(tuple(_require(side, key, f"bilinear_pairs[{i}]"))
-                                         for key in ("breaks", "values"))))
-            pairs.append((fg[0], fg[1]))
-        wobj = obj.get("window_scaling")
-        window = None
-        if wobj is not None:
-            _check_fields(wobj, _WINDOW_FIELDS, "config.window_scaling")
-            where = "config.window_scaling"
-            windows = _require(wobj, "windows", where)
-            if not isinstance(windows, (list, tuple)):
-                raise ConfigError(f"{where}.windows must be a list, got {windows!r}")
-            window = WindowScalingSettings(
-                m_order=_integer(_require(wobj, "m_order", where), f"{where}.m_order"),
-                base_rect=_reals(_require(wobj, "base_rect", where), f"{where}.base_rect"),
-                windows=tuple(_reals(w, f"{where}.windows") for w in windows),
-                gamma=(None if wobj.get("gamma") is None
-                       else _real(wobj["gamma"], f"{where}.gamma")),
-            )
         return ExperimentConfig(
             theta_kind=kind,
             model=model,
@@ -274,7 +283,7 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (SheetForgeError, TypeError, ValueError) as exc:
+    except SheetForgeError as exc:
         raise ConfigError(f"config component validation failed: {exc}") from exc
 
 

@@ -149,10 +149,6 @@ class LevyModel:
         if self.jump_rate > 0.0 and self.jump_dist is None:
             raise OutOfRange("jump_rate > 0 requires a jump_dist")
 
-    @property
-    def is_random(self) -> bool:
-        return self.sigma > 0.0 or self.jump_rate > 0.0
-
     def to_json_obj(self) -> dict:
         obj = {
             "sigma": self.sigma,

@@ -9,7 +9,6 @@ midpoint-rule weight 1/M; the two weight systems are intentionally distinct.
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -141,18 +140,11 @@ class GridField:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self._csv_text())
-
-    def _csv_text(self) -> str:
-        buf = io.StringIO()
         meta = {"m": self.lattice.m, "node_kind": self.node_kind, **self.meta}
         pairs = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-        buf.write(f"# sheetforge gridfield v1 {pairs}\n")
-        for row in self.values:
-            buf.write(",".join(repr(float(v)) for v in row))
-            buf.write("\n")
-        return buf.getvalue()
+        with open(path, "w") as fh:
+            fh.write(f"# sheetforge gridfield v1 {pairs}\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in self.values.tolist())
 
     @classmethod
     def from_csv(cls, path) -> "GridField":
@@ -215,7 +207,7 @@ class SheetSample:
         if name != "field":
             raise AttributeError(name)
         values = _jump_values(self.model.jump_dist.h, self.counts)
-        self.field = GridField(Lattice(len(values)), values, meta={"n": self.n, "seed": self.seed})
+        self.field = _sheet_field(values, self.n, self.seed)
         return self.field
 
 
@@ -261,31 +253,34 @@ def _jump_values(h: float, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sheet_field(values: np.ndarray, n: float, seed: int) -> GridField:
+    """The sheet values as the GridField every sample exposes as .field."""
+    return GridField(Lattice(len(values)), values, meta={"n": float(n), "seed": int(seed)})
+
+
 def simulate_sheet(model: LevyModel, n: float, lattice: Lattice, seed: int) -> SheetSample:
     """Sample the sheet exactly at the scaled midpoints (sqrt(n) x_i, sqrt(n) y_j).
 
     Cell areas in the scaled domain are n * w_i * w_j with w the partition
     widths; node values are cumulative rectangular sums of the independent
     per-cell increments. A pure fixed-jump model returns its counts N (.field
-    builds h * N when read), drawn in this order if rate * n <= M^2: T ~
-    Poisson(rate * n * (1 - 1/(2M))^2), then T row and T column uniforms U
-    (rng.random((2, T)), rows first), each binned to cell min(floor(U * (M -
-    1/2) + 1/2), M - 1); given T, the multinomial law of independent
-    Poisson(rate * n * w_i * w_j) cells (Devroye 1986). Otherwise one Poisson
-    per cell, row-major. Deterministic given (model, n, lattice.m, seed)."""
+    builds h * N when read), drawn in this order: T ~ Poisson(rate * n *
+    (1 - 1/(2M))^2), then T row and T column uniforms U (rng.random((2, T)),
+    rows first), each binned to cell min(floor(U * (M - 1/2) + 1/2), M - 1);
+    given T, the multinomial law of independent Poisson(rate * n * w_i * w_j)
+    cells (Devroye 1986). Deterministic given (model, n, lattice.m, seed)."""
     if not (math.isfinite(n) and n > 0):
         raise OutOfRange(f"n={n} must be finite and > 0")
     m, rate, jd = lattice.m, model.jump_rate, model.jump_dist
     rng = np.random.default_rng(np.random.PCG64(seed))
     fixed = model.sigma == model.drift == 0.0 and rate > 0.0 and isinstance(jd, Deterministic)
-    if fixed and rate * n <= m * m:
+    if fixed:
         total = rng.poisson(rate * n * (1.0 - 0.5 / m) ** 2)
         rows, cols = np.minimum((rng.random((2, total)) * (m - 0.5) + 0.5).astype(np.int64), m - 1)
         acc = np.bincount(rows * m + cols, minlength=m * m).reshape(m, m)
     else:
         w = lattice.partition_widths()
-        areas = n * np.outer(w, w)
-        acc = rng.poisson(rate * areas) if fixed else sample_increments(model, areas, rng)
+        acc = sample_increments(model, n * np.outer(w, w), rng)
     # Prefix sums in place, in the association of cumsum(axis=0).cumsum(axis=1).
     if m >= _ROW_SWEEP_MIN_M:
         for i in range(1, m):
@@ -293,5 +288,5 @@ def simulate_sheet(model: LevyModel, n: float, lattice: Lattice, seed: int) -> S
     else:
         np.cumsum(acc, axis=0, out=acc)
     np.cumsum(acc, axis=1, out=acc)
-    gf = None if fixed else GridField(lattice, acc, meta={"n": float(n), "seed": int(seed)})
+    gf = None if fixed else _sheet_field(acc, n, seed)
     return SheetSample(gf, model, float(n), int(seed), counts=acc if fixed else None)

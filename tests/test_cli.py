@@ -448,7 +448,7 @@ def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch):
     ("replicates=2.9", "replicates"),
     ("zero_mean=no", "zero_mean"),
     ("theta.model.jump_rate=-1", "jump_rate"),
-    ('theta.model.jump_rate="x"', "'x'"),
+    ('theta.model.jump_rate="x"', "theta.model"),
     ("theta.model.jump_rate=true", "jump_rate"),
     ("eval_grid.s_points=[0.5,1.5]", "s_points"),
     ('bilinear_pairs=[[{"breaks":[0,2],"values":[1]},{"breaks":[0,1],"values":[1]}]]',
@@ -456,8 +456,8 @@ def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch):
 ])
 def test_malformed_config_values_exit_2(override, field, tmp_path, capsys):
     """Values of the wrong type or range are a ConfigError naming the field
-    (or the value), not a traceback, a domain error, a truncation or a
-    truthy value."""
+    (or the component that holds it), not a traceback, a domain error, a
+    truncation or a truthy value."""
     argv = ["covariance", "--preset", "brownian-baseline", *SMALL,
             "--set", override, "--out", str(tmp_path / "o")]
     code, payload = _cli(capsys, argv)

@@ -105,15 +105,11 @@ def test_sheet_determinism_and_seed_sensitivity():
 
 def _reference_counts(rate, n, lattice, seed):
     """Reference oracle: a fixed-jump sheet's cell counts, replaying the
-    documented draw order point by point. With rate * n <= M^2: the total
-    T ~ Poisson(rate n (1 - 1/(2M))^2), then T row and T column uniforms,
-    each binned to min(floor(U (M - 1/2) + 1/2), M - 1); above, one Poisson
-    per cell."""
+    documented draw order point by point: the total T ~ Poisson(rate n
+    (1 - 1/(2M))^2), then T row and T column uniforms, each binned to
+    min(floor(U (M - 1/2) + 1/2), M - 1)."""
     m = lattice.m
     rng = np.random.default_rng(np.random.PCG64(seed))
-    if rate * n > m * m:
-        w = lattice.partition_widths()
-        return rng.poisson(rate * n * np.outer(w, w))
     total = rng.poisson(rate * n * (1.0 - 1.0 / (2 * m)) ** 2)
     rows, cols = rng.random(total), rng.random(total)
     counts = np.zeros((m, m), dtype=np.int64)
@@ -191,12 +187,11 @@ def test_other_sheets_carry_no_counts(model):
     assert simulate_sheet(model, 30.0, Lattice(16), seed=8).counts is None
 
 
-@pytest.mark.parametrize("m, n", [(1, 0.8), (1, 3.0), (4, 16.0), (4, 16.5), (64, 30.0)],
-                         ids=["m1-points", "m1-per-cell", "points-at-M2", "per-cell-past-M2",
-                              "points"])
+@pytest.mark.parametrize("m, n", [(1, 0.8), (1, 3.0), (4, 16.5), (64, 30.0)],
+                         ids=["m1-sparse", "m1-dense", "m4-dense", "m64-sparse"])
 def test_fixed_jump_counts_replay_the_documented_draw(m, n):
-    """Point set while rate * n <= M^2 (the boundary included), one Poisson
-    per cell past it; both byte for byte against the replayed draw order."""
+    """Sparse and dense sheets (rate * n below and above M^2 points) alike,
+    byte for byte against the replayed draw order."""
     lat = Lattice(m)
     sheet = simulate_sheet(unit_jump_poisson(), n, lat, seed=21)
     want = _reference_counts(1.0, n, lat, 21).cumsum(axis=0).cumsum(axis=1)
@@ -234,7 +229,7 @@ def test_points_at_the_upper_edge_fall_in_the_last_cell(m, u, monkeypatch):
     assert counts[-1, -1] == 3 and not counts[:-1].any() and not counts[:, :-1].any()
 
 
-@pytest.mark.parametrize("n", [8.0, 40.0], ids=["points", "per-cell"])
+@pytest.mark.parametrize("n", [8.0, 40.0], ids=["sparse", "dense"])
 def test_fixed_jump_counts_follow_the_exact_law(n):
     """Count sheet N of rate 1.5 at M = 4 over 4000 seeds: E N(x_i, y_j) =
     rate n x_i y_j and Cov(N(a), N(b)) = rate n min(x_a, x_b) min(y_a, y_b),
@@ -242,7 +237,6 @@ def test_fixed_jump_counts_follow_the_exact_law(n):
     against the exact moments)."""
     rate, lat, reps = 1.5, Lattice(4), 4000
     model = LevyModel(jump_rate=rate, jump_dist=Deterministic(1.0))
-    assert (rate * n <= 16) == (n == 8.0)
     draws = np.array([simulate_sheet(model, n, lat, seed=mix64(2718, r)).counts.ravel()
                       for r in range(reps)], dtype=float)
     x = np.repeat(lat.midpoints(), 4)
