@@ -367,25 +367,41 @@ def _project_replicates(
 ) -> np.ndarray:
     """The replicate engine behind every probe. Replicate r draws one sheet
     with seed mix64(master_seed, r) from the model and n of specs[0] (the
-    specs share both), transforms it to theta for each spec, and stores
-    (left @ theta @ right.T).ravel() in out[k, r] for spec k. The result has
-    shape (len(specs), replicates, len(left) * len(right)).
+    specs share model, n and K), transforms it to theta for each spec, and
+    stores (left @ theta @ right.T).ravel() in out[k, r] for spec k. The
+    result has shape (len(specs), replicates, len(left) * len(right)).
+
+    theta = n K sqrt(xy) f(L): the envelope is folded into the rows once per
+    call, theta_values_from_sheet gives f. On a count sheet's blocks, the
+    rows are summed per block as differences of their prefix sums.
 
     simulate_sheet and theta_values_from_sheet are looked up as module
     globals on every call: benchmarks and tracers replace those names."""
     if replicates < 2:
         raise InsufficientReplicates(f"need at least 2 replicates, got {replicates}")
     model, n = specs[0].model, specs[0].n
-    right_t = right.T
+    root = np.sqrt(lattice.midpoints())
+    # the rows as C-ordered columns, so that a block's entries are contiguous
+    cols = ((left * (n * specs[0].normalizer() * root)).T.copy(), (right * root).T.copy())
+    prefixes = tuple(np.concatenate((np.zeros((1, c.shape[1])), c.cumsum(axis=0))) for c in cols)
     out = np.empty((len(specs), replicates, len(left) * len(right)))
 
     def work(r: int) -> None:
         sheet = simulate_sheet(model, n, lattice, mix64(master_seed, r))
+        left_r, right_r = (cols if sheet.blocks is None
+                           else map(_block_sums, prefixes, sheet.block_ends))
         for k, spec in enumerate(specs):
-            out[k, r] = (left @ theta_values_from_sheet(spec, sheet) @ right_t).ravel()
+            out[k, r] = (left_r.T @ theta_values_from_sheet(spec, sheet) @ right_r).ravel()
 
     _run_replicates(replicates, work, workers)
     return out
+
+
+def _block_sums(prefix: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Sums over the blocks that end at ends, from prefix[i] = sum of the first i cells."""
+    sums = prefix.take(ends, axis=0)
+    sums[1:] -= sums[:-1].copy()
+    return sums
 
 
 def generate_replicates(

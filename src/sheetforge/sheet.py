@@ -4,7 +4,8 @@ The lattice has M nodes per axis at x_i = (i - 1/2)/M. The sheet partition
 per axis is [0, x_1], (x_1, x_2], ..., (x_{M-1}, x_M] (first cell half-width),
 so cumulative sums of independent per-cell increments give the sheet value
 exactly AT the midpoints (a pure fixed-jump sheet bins Poisson uniform
-points onto it). Quadrature over theta fields elsewhere uses the uniform
+points onto it, and keeps its counts per block of occupied rows and
+columns). Quadrature over theta fields elsewhere uses the uniform
 midpoint-rule weight 1/M; the two weight systems are intentionally distinct.
 """
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -191,24 +192,46 @@ class SheetSample:
 
     For a pure fixed-jump model (sigma = 0, drift = 0, Deterministic(h)
     jumps at a positive rate) the sheet is h * N with N a Poisson count
-    sheet; counts then holds N (int64, same shape), otherwise None."""
+    sheet, constant on the blocks the occupied cells cut out of each axis:
+    blocks holds N there (int64), block_ends per axis the cell index one
+    past each block (the last is M; the first is empty if cell 0 is
+    occupied). counts (N on the M x M cells) and field are built when first
+    read; a sample made with counts takes each cell as a block. Other
+    sheets have counts, blocks and block_ends None."""
 
     field: Optional[GridField]
     model: LevyModel
     n: float
     seed: int
-    counts: Optional[np.ndarray] = None
+    # a factory, not a default, leaves no class attribute to shadow __getattr__
+    counts: Optional[np.ndarray] = field(default_factory=lambda: None)
+    blocks: Optional[np.ndarray] = None
+    block_ends: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
+        if self.counts is not None:
+            cells = np.arange(1, len(self.counts) + 1)
+            self.blocks, self.block_ends = self.counts, (cells, cells)
+        elif self.blocks is not None:
+            del self.counts  # __getattr__ spreads the blocks when read
         if self.field is None:
             del self.field  # a count sheet: __getattr__ builds h * N when read
 
     def __getattr__(self, name: str):
+        if name == "counts":
+            self.counts = self.on_cells(self.blocks)
+            return self.counts
         if name != "field":
             raise AttributeError(name)
         values = _jump_values(self.model.jump_dist.h, self.counts)
         self.field = _sheet_field(values, self.n, self.seed)
         return self.field
+
+    def on_cells(self, per_block: np.ndarray) -> np.ndarray:
+        """Values given per block, spread over the M x M cells."""
+        row, col = (np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+                    for ends in self.block_ends)
+        return per_block[row][:, col]
 
 
 def sample_increments(model: LevyModel, areas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -263,12 +286,14 @@ def simulate_sheet(model: LevyModel, n: float, lattice: Lattice, seed: int) -> S
 
     Cell areas in the scaled domain are n * w_i * w_j with w the partition
     widths; node values are cumulative rectangular sums of the independent
-    per-cell increments. A pure fixed-jump model returns its counts N (.field
-    builds h * N when read), drawn in this order: T ~ Poisson(rate * n *
-    (1 - 1/(2M))^2), then T row and T column uniforms U (rng.random((2, T)),
-    rows first), each binned to cell min(floor(U * (M - 1/2) + 1/2), M - 1);
-    given T, the multinomial law of independent Poisson(rate * n * w_i * w_j)
-    cells (Devroye 1986). Deterministic given (model, n, lattice.m, seed)."""
+    per-cell increments. A pure fixed-jump model draws a point set in this
+    order: T ~ Poisson(rate * n * (1 - 1/(2M))^2), then T row and T column
+    uniforms U (rng.random((2, T)), rows first), each binned to cell
+    min(floor(U * (M - 1/2) + 1/2), M - 1); given T, the multinomial law of
+    independent Poisson(rate * n * w_i * w_j) cells (Devroye 1986). A
+    point's block per axis is the count of occupied cells up to its own;
+    bincount and the prefix sums run on the blocks. Deterministic given
+    (model, n, lattice.m, seed)."""
     if not (math.isfinite(n) and n > 0):
         raise OutOfRange(f"n={n} must be finite and > 0")
     m, rate, jd = lattice.m, model.jump_rate, model.jump_dist
@@ -277,16 +302,23 @@ def simulate_sheet(model: LevyModel, n: float, lattice: Lattice, seed: int) -> S
     if fixed:
         total = rng.poisson(rate * n * (1.0 - 0.5 / m) ** 2)
         rows, cols = np.minimum((rng.random((2, total)) * (m - 0.5) + 0.5).astype(np.int64), m - 1)
-        acc = np.bincount(rows * m + cols, minlength=m * m).reshape(m, m)
+        # occupied cells per axis, and the end M of the last block
+        occupied = np.zeros((2, m + 1), dtype=bool)
+        occupied[0][rows] = occupied[1][cols] = occupied[:, m] = True
+        rank = occupied.cumsum(axis=1)
+        ends = occupied[0].nonzero()[0], occupied[1].nonzero()[0]
+        u, v = len(ends[0]), len(ends[1])
+        acc = np.bincount(rank[0][rows] * v + rank[1][cols], minlength=u * v).reshape(u, v)
     else:
         w = lattice.partition_widths()
         acc = sample_increments(model, n * np.outer(w, w), rng)
     # Prefix sums in place, in the association of cumsum(axis=0).cumsum(axis=1).
-    if m >= _ROW_SWEEP_MIN_M:
-        for i in range(1, m):
+    if len(acc) >= _ROW_SWEEP_MIN_M:
+        for i in range(1, len(acc)):
             np.add(acc[i - 1], acc[i], out=acc[i])
     else:
-        np.cumsum(acc, axis=0, out=acc)
-    np.cumsum(acc, axis=1, out=acc)
-    gf = None if fixed else _sheet_field(acc, n, seed)
-    return SheetSample(gf, model, float(n), int(seed), counts=acc if fixed else None)
+        np.add.accumulate(acc, axis=0, out=acc)
+    np.add.accumulate(acc, axis=1, out=acc)
+    if fixed:
+        return SheetSample(None, model, float(n), int(seed), blocks=acc, block_ends=ends)
+    return SheetSample(_sheet_field(acc, n, seed), model, float(n), int(seed))

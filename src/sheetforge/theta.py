@@ -16,7 +16,6 @@ uniform weight 1/M per axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -164,45 +163,40 @@ class ThetaField:
         return self.field.lattice
 
 
-@lru_cache(maxsize=4)
-def _root_xy(m: int) -> np.ndarray:
-    """sqrt(x_i y_j) over the lattice midpoints, shared read-only by every
-    draw on an M-lattice."""
-    x = Lattice(m).midpoints()
-    root = np.sqrt(np.outer(x, x))
-    root.setflags(write=False)
-    return root
-
-
 _PARITY = np.array([1.0, -1.0])
 _PARITY.setflags(write=False)
 
 
 def theta_values_from_sheet(spec: ThetaSpec, sheet: SheetSample) -> np.ndarray:
-    """Kernel values n K sqrt(xy) f(L) at the midpoints from the sheet
-    values L there. A count sheet (L = h * N) takes a per-count table of f
-    gathered by N; the bytes equal those of the elementwise transform."""
-    counts = sheet.counts
-    root_xy = _root_xy(sheet.field.lattice.m if counts is None else len(counts))
-    # counts are prefix sums of nonnegative draws, so the corner holds the
-    # maximum; a table longer than the field would cost more than it saves
-    if counts is not None and counts[-1, -1] >= counts.size:
-        counts = None
+    """f(L) = (-1)^L, cos(angle L) or sin(angle L) of the sheet values L,
+    without the envelope: theta = n K sqrt(xy) f(L). A count sheet (L = h N)
+    gives f on its blocks, by a per-count table of f gathered by N while the
+    table is no longer than the blocks; any other sheet gives f on the M x M
+    cells. The bytes are those of the elementwise transform."""
+    blocks = sheet.blocks
     if spec.kind == "KacStroock":
         # sheet values are exact integer counts (unit jumps); parity flips sign
-        if counts is None:
-            parity = 1.0 - 2.0 * np.mod(sheet.field.values, 2.0)
-        else:
-            parity = _PARITY[counts & 1]
-        return spec.n * root_xy * parity
-    k = spec.normalizer()
+        if blocks is None:
+            return 1.0 - 2.0 * np.mod(sheet.field.values, 2.0)
+        return _PARITY[blocks & 1]
     wave_of = np.cos if spec.kind == "LevyCos" else np.sin
-    if counts is None:
-        wave = wave_of(spec.angle * sheet.field.values)
-    else:
-        steps = _jump_values(sheet.model.jump_dist.h, np.arange(counts[-1, -1] + 1))
-        wave = wave_of(spec.angle * steps)[counts]
-    return spec.n * k * root_xy * wave
+    if blocks is None:
+        return wave_of(spec.angle * sheet.field.values)
+    h, total = sheet.model.jump_dist.h, blocks[-1, -1]
+    # the corner holds the largest count (prefix sums); a longer table costs more
+    if total >= blocks.size:
+        return wave_of(spec.angle * _jump_values(h, blocks))
+    return wave_of(spec.angle * _jump_values(h, np.arange(total + 1)))[blocks]
+
+
+def _theta_field(spec: ThetaSpec, sheet: SheetSample, lattice: Lattice, meta: dict) -> GridField:
+    """theta = n K sqrt(xy) f(L) on the lattice midpoints."""
+    wave = theta_values_from_sheet(spec, sheet)
+    if sheet.blocks is not None:
+        wave = sheet.on_cells(wave)
+    x = lattice.midpoints()
+    values = spec.n * spec.normalizer() * np.sqrt(np.outer(x, x)) * wave
+    return GridField(lattice, values, node_kind="midpoint", meta=meta)
 
 
 def _check_coupled_pair(cos_spec: ThetaSpec, sin_spec: ThetaSpec) -> None:
@@ -223,8 +217,7 @@ def realize_theta(spec: ThetaSpec, lattice: Lattice, seed: int) -> ThetaField:
     """One random-kernel realization from one Lévy-sheet draw evaluated
     exactly at the scaled midpoints."""
     sheet = simulate_sheet(spec.model, spec.n, lattice, seed)
-    gf = GridField(lattice, theta_values_from_sheet(spec, sheet), node_kind="midpoint",
-                   meta={"theta_kind": spec.kind, "seed": seed})
+    gf = _theta_field(spec, sheet, lattice, {"theta_kind": spec.kind, "seed": seed})
     return ThetaField(field=gf, spec=spec, seed=seed)
 
 
@@ -239,9 +232,8 @@ def realize_theta_pair(
     tag_c = (seed, "pair")
     out = []
     for spec in (cos_spec, sin_spec):
-        gf = GridField(lattice, theta_values_from_sheet(spec, sheet),
-                       node_kind="midpoint",
-                       meta={"theta_kind": spec.kind, "seed": seed, "coupled": True})
+        gf = _theta_field(spec, sheet, lattice,
+                          {"theta_kind": spec.kind, "seed": seed, "coupled": True})
         out.append(ThetaField(field=gf, spec=spec, seed=seed, coupled_tag=tag_c))
     return out[0], out[1]
 

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 from sheetforge import harness
+from sheetforge import sheet as sheet_module
 from sheetforge import (
     ConfigError,
     CovarianceReport,
+    Deterministic,
     EvalGrid,
     FbmVolterra,
     HolmgrenRL,
     Indicator,
     InsufficientReplicates,
     Lattice,
+    LevyModel,
     MomentEstimate,
     OutOfRange,
     StepFunction,
@@ -34,14 +37,15 @@ from sheetforge import (
     levy_cos,
     levy_sin,
     mix64,
+    quadrature_rows,
     simulate_sheet,
     theoretical_covariance,
-    theta_values_from_sheet,
     unit_jump_poisson,
     window_scaling_probe,
 )
 
 from exact_oracle import exact_cross_covariance, exact_moments, exact_moments_quartic
+from triple_loop import reference_theta
 
 
 def exact_parity_covariance_tensor(n: float, lattice: Lattice) -> np.ndarray:
@@ -401,8 +405,8 @@ def test_every_replicate_loop_draws_once_per_replicate(monkeypatch):
 
 
 def test_the_engine_never_builds_the_field_of_a_count_sheet(monkeypatch):
-    """Count sheets reach theta as int64 counts: the replicate engine never
-    reads .field, so the float h * N field is never built."""
+    """Count sheets reach theta as int64 blocks: the replicate engine never
+    builds the float h * N field or the M x M counts."""
     sheets = []
 
     def keeping(*args):
@@ -416,7 +420,109 @@ def test_the_engine_never_builds_the_field_of_a_count_sheet(monkeypatch):
     generate_replicates(kac_stroock(20.0), k, k, grid, lat, 4, 1, workers=2)
     generate_coupled_replicates(cos_spec, sin_spec, k, k, grid, lat, 4, 1, workers=2)
     assert len(sheets) == 8
-    assert all(s.counts is not None and "field" not in vars(s) for s in sheets)
+    assert all(s.blocks is not None and "field" not in vars(s) and "counts" not in vars(s)
+               for s in sheets)
+
+
+def _assert_matches_dense(specs, lattice, left, right, out, master_seed):
+    """Each projection out[k, r] against left @ theta @ right.T, theta the
+    full field built elementwise from replicate r's sheet values, normwise
+    within 1e-12 of |left| @ |theta| @ |right|.T (the engine sums blocks as
+    differences of prefix sums, so near-zero entries carry the rounding of
+    the whole row)."""
+    for r in range(out.shape[1]):
+        sheet = simulate_sheet(specs[0].model, specs[0].n, lattice, mix64(master_seed, r))
+        for k, spec in enumerate(specs):
+            theta = reference_theta(spec, sheet.field.values, lattice)
+            want = left @ theta @ right.T
+            scale = np.abs(left) @ np.abs(theta) @ np.abs(right).T
+            err = np.abs(out[k, r] - want.ravel()).max()
+            assert err <= 1e-12 * scale.max(), (spec.kind, r, err / scale.max())
+
+
+def test_every_probe_matches_the_dense_projection(monkeypatch):
+    """generate_replicates, the coupled pair, the bilinear and window probes:
+    every engine call against the dense reference, on count sheets and on
+    sheets with a Gaussian part (no blocks)."""
+    calls = []
+    engine = harness._project_replicates
+
+    def capturing(specs, lattice, left, right, replicates, master_seed, workers):
+        out = engine(specs, lattice, left, right, replicates, master_seed, workers)
+        calls.append((specs, lattice, left, right, out, master_seed))
+        return out
+
+    monkeypatch.setattr(harness, "_project_replicates", capturing)
+    lat, r = Lattice(32), 12
+    k1, k2 = FbmVolterra(0.6), FbmVolterra(0.4)
+    grid = EvalGrid((0.25, 0.5, 1.0), (0.3, 1.0))
+    f = StepFunction((0.0, 0.4, 1.0), (1.0, -2.0))
+    windows = ((0.4, 0.5, 0.3, 0.5), (0.4, 0.6, 0.3, 0.55))
+    models = (unit_jump_poisson(), LevyModel(sigma=0.5, jump_rate=1.0,
+                                             jump_dist=Deterministic(1.0)))
+    for model in models:
+        cos_spec, sin_spec = levy_cos(model, 50.0, 1.0), levy_sin(model, 50.0, 1.0)
+        generate_replicates(cos_spec, k1, k2, grid, lat, r, 3, workers=2)
+        generate_coupled_replicates(cos_spec, sin_spec, k1, k2, grid, lat, r, 4)
+        bilinear_moment_probe(sin_spec, f, f, lat, r, 5)
+        window_scaling_probe(cos_spec, k1, k2, 2, (0.1, 0.9, 0.2, 0.8), windows, lat, r, 6)
+    generate_replicates(kac_stroock(50.0), k1, k2, grid, lat, r, 7)
+    assert len(calls) == 9
+    for call in calls:
+        _assert_matches_dense(*call)
+
+
+class _PointsRng:
+    """Stands in for the generator: the given (2, T) uniforms are the points."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float).reshape(2, -1)
+
+    def poisson(self, lam):
+        return self.uniforms.shape[1]
+
+    def random(self, size):
+        assert size == self.uniforms.shape
+        return self.uniforms.copy()
+
+
+_TOP = np.nextafter(1.0, 0.0)
+# case: (M, n, the points' uniforms or None for a seeded draw, what the blocks show)
+_EDGE_SHEETS = {
+    "no-points": (16, 1.0, np.empty((2, 0)), lambda s: s.blocks.shape == (1, 1)),
+    "last-cell": (16, 1.0, np.full((2, 3), _TOP),
+                  lambda s: s.block_ends[0].tolist() == s.block_ends[1].tolist() == [15, 16]),
+    "row-0-occupied": (16, 1.0, [[0.0, 0.6], [0.3, 0.0]],
+                       lambda s: s.block_ends[0][0] == 0 == s.block_ends[1][0]),
+    "m1": (1, 1.0, [[0.2, 0.9, _TOP], [0.1, 0.5, 0.3]],
+           lambda s: s.blocks.tolist() == [[0, 0], [0, 3]]),
+    "past-the-table": (4, 400.0, None, lambda s: s.blocks[-1, -1] >= s.blocks.size),
+    "sparse": (64, 50.0, None, lambda s: 1 < len(s.blocks) < 64),
+}
+
+
+@pytest.mark.parametrize("h", [1.0, -1.0])
+@pytest.mark.parametrize("case", sorted(_EDGE_SHEETS))
+def test_engine_matches_the_dense_projection_on_edge_sheets(case, h, monkeypatch):
+    """No points, every point in cell M - 1, an occupied cell 0 (an empty
+    first block), M = 1, a largest count past the block count, and h < 0
+    (the +0.0 step): the block projection against the dense reference."""
+    m, n, uniforms, shows = _EDGE_SHEETS[case]
+    if uniforms is not None:
+        monkeypatch.setattr(sheet_module.np.random, "default_rng",
+                            lambda _: _PointsRng(uniforms))
+    lat = Lattice(m)
+    model = LevyModel(jump_rate=1.0, jump_dist=Deterministic(h))
+    assert shows(simulate_sheet(model, n, lat, mix64(9, 0)))
+    specs = [(levy_cos(model, n, 1.0), levy_sin(model, n, 1.0))]
+    if h == 1.0:
+        specs.append((kac_stroock(n),))
+    points = (0.25, 0.5, 1.0)
+    left = quadrature_rows(FbmVolterra(0.6), m, points)
+    right = quadrature_rows(FbmVolterra(0.4), m, points[1:])
+    for group in specs:
+        out = harness._project_replicates(group, lat, left, right, 3, 9, None)
+        _assert_matches_dense(group, lat, left, right, out, 9)
 
 
 # -- independence probe --------------------------------------------------------
@@ -662,7 +768,7 @@ def test_window_scaling_probe_matches_inline_mask_reference(monkeypatch):
     incs = np.empty((r, len(windows)))
     for i in range(r):
         sheet = simulate_sheet(spec.model, spec.n, lat, mix64(seed, i))
-        th = theta_values_from_sheet(spec, sheet)
+        th = reference_theta(spec, sheet.field.values, lat)
         incs[i] = np.einsum("wi,iw->w", u_rows, th @ v_rows.T)
     powers = incs**2
     vals = powers.mean(axis=0)

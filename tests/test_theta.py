@@ -29,6 +29,9 @@ from sheetforge import (
     unit_jump_poisson,
 )
 
+from triple_loop import reference_theta as _reference_theta
+from triple_loop import reference_wave as _reference_wave
+
 ROOT2 = math.sqrt(2.0)
 
 
@@ -103,14 +106,13 @@ def _frozen_sheet(model, values, counts=None):
 
 
 def test_wave_fields_on_a_frozen_sheet():
-    lat = Lattice(4)
+    """theta_values_from_sheet gives the transform f of the sheet values,
+    without the envelope."""
     unit = unit_jump_poisson()
     spec_c = levy_cos(unit, 9.0, 1.3)
     spec_s = levy_sin(unit, 9.0, 1.3)
     zero_sheet = _frozen_sheet(unit, np.zeros((4, 4)))
-    k = spec_c.normalizer()
-    env = 9.0 * k * np.sqrt(np.outer(lat.midpoints(), lat.midpoints()))
-    np.testing.assert_array_equal(theta_values_from_sheet(spec_c, zero_sheet), env)
+    np.testing.assert_array_equal(theta_values_from_sheet(spec_c, zero_sheet), np.ones((4, 4)))
     np.testing.assert_array_equal(
         theta_values_from_sheet(spec_s, zero_sheet), np.zeros((4, 4))
     )
@@ -118,21 +120,8 @@ def test_wave_fields_on_a_frozen_sheet():
     for sheet in (_frozen_sheet(unit, counts * 1.0),
                   _frozen_sheet(unit, counts * 1.0, counts=counts)):
         np.testing.assert_array_equal(
-            theta_values_from_sheet(spec_c, sheet), env * np.cos(1.3 * counts)
+            theta_values_from_sheet(spec_c, sheet), np.cos(1.3 * counts)
         )
-
-
-def _reference_theta(spec, sheet_values, lattice):
-    """Reference oracle: the elementwise transform of every sheet value,
-    with the envelope built per call."""
-    x = lattice.midpoints()
-    root_xy = np.sqrt(np.outer(x, x))
-    if spec.kind == "KacStroock":
-        parity = 1.0 - 2.0 * np.mod(sheet_values, 2.0)
-        return spec.n * root_xy * parity
-    phase = spec.angle * sheet_values
-    wave = np.cos(phase) if spec.kind == "LevyCos" else np.sin(phase)
-    return spec.n * spec.normalizer() * root_xy * wave
 
 
 def _same_bytes(a, b) -> bool:
@@ -151,36 +140,46 @@ def _specs_for(model, n):
     return specs
 
 
+def _check_count_sheet_theta(sheet, lat, seed):
+    """A count sheet's transform on its blocks, spread over the cells, and
+    realize_theta's field both have the bytes of the elementwise reference.
+    The counts alone give them: a copy with NaN values (whose M x M counts
+    are its blocks) gives the same bytes."""
+    m = lat.m
+    blind = dataclasses.replace(sheet, field=GridField(lat, np.full((m, m), np.nan)))
+    assert blind.blocks.shape == (m, m)
+    for spec in _specs_for(sheet.model, sheet.n):
+        wave = theta_values_from_sheet(spec, sheet)
+        assert wave.shape == sheet.blocks.shape
+        want = _reference_wave(spec, sheet.field.values)
+        assert _same_bytes(sheet.on_cells(wave), want), spec.kind
+        assert _same_bytes(theta_values_from_sheet(spec, blind), want), spec.kind
+        theta = realize_theta(spec, lat, seed)
+        assert _same_bytes(theta.values, _reference_theta(spec, sheet.field.values, lat))
+
+
 @pytest.mark.parametrize("m, n", [(7, 40.0), (64, 400.0)])
 @pytest.mark.parametrize("h", [1.0, -1.0, 0.5, 0.1, 2.0])
 def test_lattice_sheets_take_the_count_table_byte_identically(h, m, n):
-    """n keeps the largest count below M^2, the longest table taken."""
+    """n keeps the largest count below the block and cell counts, the
+    longest table taken."""
     lat = Lattice(m)
     sheet = simulate_sheet(_fixed_jump(h), n, lat, seed=31 + m)
-    counts = sheet.counts
-    assert counts[-1, -1] == counts.max() and 0 < counts.max() < counts.size
+    blocks, counts = sheet.blocks, sheet.counts
+    assert blocks[-1, -1] == counts.max() and 0 < counts.max() < counts.size <= blocks.size
     # empty cells hold +0.0; for h < 0 the table's zero step must too
     assert np.any(counts == 0)
-    # the table is read by count alone: the values are not looked at
-    blind = dataclasses.replace(sheet, field=GridField(lat, np.full((m, m), np.nan)))
-    for spec in _specs_for(sheet.model, n):
-        want = _reference_theta(spec, sheet.field.values, lat)
-        assert _same_bytes(theta_values_from_sheet(spec, sheet), want), spec.kind
-        assert _same_bytes(theta_values_from_sheet(spec, blind), want), spec.kind
+    _check_count_sheet_theta(sheet, lat, 31 + m)
 
 
 @pytest.mark.parametrize("h", [1.0, -1.0, 0.1])
 def test_count_sheets_past_the_table_size_take_the_elementwise_path(h):
-    """A largest count of M^2 or more skips the table: the values, not the
-    counts, then give theta, with the bytes of the elementwise transform."""
+    """A largest count of the block count or more skips the table: f is
+    then taken elementwise on the blocks, with the same bytes."""
     lat = Lattice(7)
     sheet = simulate_sheet(_fixed_jump(h), 400.0, lat, seed=3)
-    assert sheet.counts.max() >= sheet.counts.size
-    shifted = dataclasses.replace(sheet, counts=sheet.counts + 1)
-    for spec in _specs_for(sheet.model, 400.0):
-        want = _reference_theta(spec, sheet.field.values, lat)
-        assert _same_bytes(theta_values_from_sheet(spec, sheet), want), spec.kind
-        assert _same_bytes(theta_values_from_sheet(spec, shifted), want), spec.kind
+    assert sheet.blocks.max() >= sheet.blocks.size
+    _check_count_sheet_theta(sheet, lat, 3)
 
 
 def test_sheets_without_counts_take_the_elementwise_path():
@@ -190,10 +189,12 @@ def test_sheets_without_counts_take_the_elementwise_path():
         LevyModel(drift=0.25, jump_rate=1.0, jump_dist=Deterministic(1.0)),
     ):
         sheet = simulate_sheet(model, 100.0, lat, seed=5)
-        assert sheet.counts is None
+        assert sheet.counts is None and sheet.blocks is None
         for spec in _specs_for(model, 100.0):
-            want = _reference_theta(spec, sheet.field.values, lat)
+            want = _reference_wave(spec, sheet.field.values)
             assert _same_bytes(theta_values_from_sheet(spec, sheet), want), spec.kind
+            theta = realize_theta(spec, lat, seed=5)
+            assert _same_bytes(theta.values, _reference_theta(spec, sheet.field.values, lat))
 
 
 def test_wave_envelope_bound_holds_pointwise():

@@ -1,4 +1,9 @@
-"""Reference oracle for the approximating field: the literal midpoint sum
+"""Reference oracles for the approximating field: the kernel field
+
+    Theta[i, j] = n K sqrt(x_i y_j) f(L(x_i, y_j))
+
+elementwise from the sheet values on the M x M cells, and the literal
+midpoint sum
 
     X_n(s_k, t_l) = sum_i sum_j A[k, i] Theta[i, j] B[l, j]
 
@@ -7,6 +12,24 @@ are checked."""
 import numpy as np
 
 from sheetforge import quadrature_rows
+
+
+def reference_wave(spec, sheet_values) -> np.ndarray:
+    """The elementwise transform f of every sheet value: (-1)^L for the
+    parity kernel (unit jumps, so L is an integer count), else cos or
+    sin(angle L)."""
+    if spec.kind == "KacStroock":
+        return 1.0 - 2.0 * np.mod(sheet_values, 2.0)
+    phase = spec.angle * sheet_values
+    return np.cos(phase) if spec.kind == "LevyCos" else np.sin(phase)
+
+
+def reference_theta(spec, sheet_values, lattice) -> np.ndarray:
+    """The full kernel field n K sqrt(xy) f(L), with the envelope built per
+    call."""
+    x = lattice.midpoints()
+    root_xy = np.sqrt(np.outer(x, x))
+    return spec.n * spec.normalizer() * root_xy * reference_wave(spec, sheet_values)
 
 
 def triple_loop_field(theta, k1, k2, grid) -> np.ndarray:
