@@ -2,7 +2,9 @@
 
     sheetforge <subcommand> --config path | --preset name
                [--set dotted.path=json]... [--out dir] [--seed u64]
-               [--workers k]
+
+(--workers k is still parsed, and must be a positive integer, but does
+nothing: replicates run serially.)
 
 Subcommands: simulate (one replicate, dump fields), covariance (full Monte
 Carlo at the final n), kernel-table (kernel matrices + L2 identities),
@@ -124,7 +126,7 @@ def _resolve_zero_mean(cfg: ExperimentConfig) -> bool:
 # -- subcommand bodies -------------------------------------------------------
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out: Path, workers: Optional[int]) -> list:
+def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> list:
     n = cfg.n_schedule[-1]
     lattice = Lattice(cfg.lattice_m)
     spec = cfg.spec_for_n(n)
@@ -151,7 +153,7 @@ def _covariance_outputs(cfg, reps, pts, zero_mean, out: Path, stem: str) -> dict
     }
 
 
-def _cmd_covariance(cfg: ExperimentConfig, out: Path, workers: Optional[int]) -> list:
+def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
     wanted = [p for p in cfg.probes if p in ("covariance", "gaussianity", "independence")]
     if not wanted:
         return []
@@ -166,7 +168,7 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path, workers: Optional[int]) ->
         sin_spec = levy_sin(cfg.model, n, cfg.angle, cfg.m_guard)
         reps, reps_sin = generate_coupled_replicates(
             spec, sin_spec, cfg.k1, cfg.k2, cfg.eval_grid, lattice,
-            cfg.replicates, cfg.master_seed, workers,
+            cfg.replicates, cfg.master_seed,
         )
         indep = independence_probe(reps, reps_sin)
         _dump_json(out / "independence.json", indep.to_json_obj())
@@ -174,7 +176,7 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path, workers: Optional[int]) ->
     else:
         reps = generate_replicates(
             spec, cfg.k1, cfg.k2, cfg.eval_grid, lattice,
-            cfg.replicates, cfg.master_seed, workers,
+            cfg.replicates, cfg.master_seed,
         )
     pts = grid_points(cfg.eval_grid)
     if "covariance" in wanted:
@@ -192,7 +194,7 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path, workers: Optional[int]) ->
     return files
 
 
-def _cmd_kernel_table(cfg: ExperimentConfig, out: Path, workers: Optional[int]) -> list:
+def _cmd_kernel_table(cfg: ExperimentConfig, out: Path) -> list:
     lattice = Lattice(cfg.lattice_m)
     mids = lattice.midpoints()
 
@@ -233,7 +235,7 @@ def _cmd_kernel_table(cfg: ExperimentConfig, out: Path, workers: Optional[int]) 
     return ["kernel1_matrix.csv", "kernel2_matrix.csv", "l2_identity.csv"]
 
 
-def _cmd_check_hypotheses(cfg: ExperimentConfig, out: Path, workers: Optional[int]) -> list:
+def _cmd_check_hypotheses(cfg: ExperimentConfig, out: Path) -> list:
     wanted = [p for p in cfg.probes if p in ("profiles", "bilinear", "window-scaling")]
     if not wanted:
         return []
@@ -266,7 +268,7 @@ def _cmd_check_hypotheses(cfg: ExperimentConfig, out: Path, workers: Optional[in
         for i, (f, g) in enumerate(pairs):
             rep = bilinear_moment_probe(
                 spec, f, g, lattice, cfg.replicates,
-                mix64(cfg.master_seed, 500 + i), workers=workers,
+                mix64(cfg.master_seed, 500 + i),
             )
             results.append(rep.to_json_obj())
         _dump_json(out / "bilinear_probe.json", results)
@@ -276,14 +278,14 @@ def _cmd_check_hypotheses(cfg: ExperimentConfig, out: Path, workers: Optional[in
         rep = window_scaling_probe(
             spec, cfg.k1, cfg.k2, ws.m_order, ws.base_rect, ws.windows,
             lattice, cfg.replicates, mix64(cfg.master_seed, 900),
-            predicted_gamma=ws.gamma, workers=workers,
+            predicted_gamma=ws.gamma,
         )
         _dump_json(out / "window_scaling.json", rep.to_json_obj())
         files.append("window_scaling.json")
     return files
 
 
-def _cmd_sweep(cfg: ExperimentConfig, out: Path, workers: Optional[int]) -> list:
+def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> list:
     if "covariance" not in cfg.probes:
         return []
     lattice = Lattice(cfg.lattice_m)
@@ -296,7 +298,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path, workers: Optional[int]) -> list
         spec = cfg.spec_for_n(n)
         reps = generate_replicates(
             spec, cfg.k1, cfg.k2, cfg.eval_grid, lattice,
-            cfg.replicates, mix64(cfg.master_seed, 10_000 + i), workers,
+            cfg.replicates, mix64(cfg.master_seed, 10_000 + i),
         )
         report = empirical_covariance(reps.values, pts, theo, zero_mean)
         stem = f"covariance_n{i}"
@@ -346,7 +348,6 @@ def run(
     overrides: Sequence[str] = (),
     out_dir: Optional[str] = None,
     seed: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> Path:
     """Library entry point: apply overrides, validate, execute the
     subcommand, and write provenance.json. Returns the output directory."""
@@ -359,7 +360,7 @@ def run(
     out.mkdir(parents=True, exist_ok=True)
     if command not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {command!r}")
-    written = _COMMANDS[command](cfg, out, workers)
+    written = _COMMANDS[command](cfg, out)
     provenance = {
         "schema": "sheetforge/provenance/1",
         "command": command,
@@ -402,13 +403,19 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override master_seed")
-        p.add_argument("--workers", type=int, help="worker threads (speed only)")
+        p.add_argument(
+            "--workers",
+            type=int,
+            help="kept for compatibility; must be a positive integer, has no effect",
+        )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"workers={args.workers!r} must be a positive integer")
         if args.config:
             with open(args.config) as fh:
                 raw = json.load(fh)
@@ -420,7 +427,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             overrides=args.set,
             out_dir=args.out,
             seed=args.seed,
-            workers=args.workers,
         )
     except json.JSONDecodeError as exc:
         print(json.dumps({"error": {"type": "ConfigError", "message": f"bad config JSON: {exc}"}}))

@@ -197,6 +197,13 @@ def _real(value, where: str) -> float:
         raise ConfigError(f"{where} must be a number, got {value!r}") from exc
 
 
+def _optional(value, kinds, where: str, what: str):
+    """value, checked to be null or of the given Python types."""
+    if value is not None and not isinstance(value, kinds):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return value
+
+
 def _reals(values, where: str) -> Tuple[float, ...]:
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
@@ -233,11 +240,14 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
     ))
     angle = tobj.get("angle")
     m_guard = tobj.get("m_guard")
-    zero_mean = obj.get("zero_mean")
-    if zero_mean is not None and not isinstance(zero_mean, bool):
-        raise ConfigError(f"zero_mean must be true, false or null, got {zero_mean!r}")
+    zero_mean = _optional(obj.get("zero_mean"), bool, "zero_mean", "true, false or null")
+    probes = _require(obj, "probes", "config")
+    if not isinstance(probes, (list, tuple)) or not all(isinstance(p, str) for p in probes):
+        raise ConfigError(f"probes must be a list of strings, got {probes!r}")
+    raw_pairs = _optional(obj.get("bilinear_pairs"), (list, tuple), "bilinear_pairs",
+                          "a list or null")
     pairs = []
-    for i, pair in enumerate(obj.get("bilinear_pairs") or ()):
+    for i, pair in enumerate(raw_pairs or ()):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"bilinear_pairs[{i}] must be a [f, g] pair")
         fg, where = [], f"bilinear_pairs[{i}]"
@@ -275,8 +285,8 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
             n_schedule=_reals(_require(obj, "n_schedule", "config"), "n_schedule"),
             replicates=_integer(_require(obj, "replicates", "config"), "replicates"),
             master_seed=_integer(_require(obj, "master_seed", "config"), "master_seed"),
-            probes=tuple(_require(obj, "probes", "config")),
-            output_dir=obj.get("output_dir"),
+            probes=tuple(probes),
+            output_dir=_optional(obj.get("output_dir"), str, "output_dir", "a string or null"),
             zero_mean=zero_mean,
             bilinear_pairs=tuple(pairs),
             window_scaling=window,

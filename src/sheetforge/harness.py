@@ -5,16 +5,12 @@ and window scaling).
 
 Determinism contract: every probe is a pure function of (master_seed,
 parameters). Replicate r always uses the derived seed mix64(master_seed, r),
-results land in per-replicate slots, and reductions run in replicate order,
-so thread count (SHEETFORGE_THREADS or the workers argument) affects speed
-only, never values.
+and results are reduced in replicate order.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +18,6 @@ from scipy import stats as _scipy_stats
 
 from .approx import EvalGrid, quadrature_rows, window_quadrature_rows
 from .errors import (
-    ConfigError,
     InsufficientReplicates,
     OutOfRange,
     QuadratureFailure,
@@ -62,38 +57,6 @@ __all__ = [
 ]
 
 _PSD_TOL = 1e-8
-
-
-def _worker_count(workers: Optional[int]) -> int:
-    """Thread count from the argument, else SHEETFORGE_THREADS, else 1.
-    Anything but a positive integer is a ConfigError."""
-    if workers is not None:
-        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-            raise ConfigError(f"workers={workers!r} must be a positive integer")
-        return workers
-    env = os.environ.get("SHEETFORGE_THREADS")
-    if not env:
-        return 1
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"SHEETFORGE_THREADS={env!r} must be a positive integer")
-    return count
-
-
-def _run_replicates(count: int, work, workers: Optional[int]) -> None:
-    """Run work(r) for r = 0..count-1, optionally on a thread pool of at
-    most count threads. Each work(r) writes only to its own slot, so
-    scheduling never changes results."""
-    n = min(_worker_count(workers), count)
-    if n <= 1:
-        for r in range(count):
-            work(r)
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            list(pool.map(work, range(count)))
 
 
 @dataclass(frozen=True)
@@ -363,7 +326,6 @@ def _project_replicates(
     right: np.ndarray,
     replicates: int,
     master_seed: int,
-    workers: Optional[int],
 ) -> np.ndarray:
     """The replicate engine behind every probe. Replicate r draws one sheet
     with seed mix64(master_seed, r) from the model and n of specs[0] (the
@@ -385,15 +347,12 @@ def _project_replicates(
     cols = ((left * (n * specs[0].normalizer() * root)).T.copy(), (right * root).T.copy())
     prefixes = tuple(np.concatenate((np.zeros((1, c.shape[1])), c.cumsum(axis=0))) for c in cols)
     out = np.empty((len(specs), replicates, len(left) * len(right)))
-
-    def work(r: int) -> None:
+    for r in range(replicates):
         sheet = simulate_sheet(model, n, lattice, mix64(master_seed, r))
         left_r, right_r = (cols if sheet.blocks is None
                            else map(_block_sums, prefixes, sheet.block_ends))
         for k, spec in enumerate(specs):
             out[k, r] = (left_r.T @ theta_values_from_sheet(spec, sheet) @ right_r).ravel()
-
-    _run_replicates(replicates, work, workers)
     return out
 
 
@@ -412,13 +371,12 @@ def generate_replicates(
     lattice: Lattice,
     replicates: int,
     master_seed: int,
-    workers: Optional[int] = None,
 ) -> ReplicateSet:
     """R independent realizations of X_n on the grid; replicate r uses seed
     mix64(master_seed, r). The kernel quadrature matrices are built once."""
     a = quadrature_rows(k1, lattice.m, grid.s_points)
     b = quadrature_rows(k2, lattice.m, grid.t_points)
-    out = _project_replicates((spec,), lattice, a, b, replicates, master_seed, workers)
+    out = _project_replicates((spec,), lattice, a, b, replicates, master_seed)
     return ReplicateSet(grid_points(grid), out[0], spec, master_seed)
 
 
@@ -431,7 +389,6 @@ def generate_coupled_replicates(
     lattice: Lattice,
     replicates: int,
     master_seed: int,
-    workers: Optional[int] = None,
 ) -> Tuple[ReplicateSet, ReplicateSet]:
     """Coupled cos/sin replicate sets: each replicate transforms ONE sheet
     draw through both wave kernels. The shared coupled_group tag is what
@@ -439,9 +396,7 @@ def generate_coupled_replicates(
     _check_coupled_pair(cos_spec, sin_spec)
     a = quadrature_rows(k1, lattice.m, grid.s_points)
     b = quadrature_rows(k2, lattice.m, grid.t_points)
-    out = _project_replicates(
-        (cos_spec, sin_spec), lattice, a, b, replicates, master_seed, workers
-    )
+    out = _project_replicates((cos_spec, sin_spec), lattice, a, b, replicates, master_seed)
     pts = grid_points(grid)
     tag = (master_seed, "cos-sin-pair")
     return (
@@ -533,7 +488,6 @@ def bilinear_moment_probe(
     replicates: int,
     master_seed: int,
     constant: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> BilinearProbeReport:
     """Monte Carlo check of the bilinear second-moment bound
 
@@ -553,9 +507,7 @@ def bilinear_moment_probe(
     mids = lattice.midpoints()
     u = f.sample(mids) / lattice.m
     v = g.sample(mids) / lattice.m
-    zs = _project_replicates(
-        (spec,), lattice, u[None], v[None], replicates, master_seed, workers
-    )[0, :, 0]
+    zs = _project_replicates((spec,), lattice, u[None], v[None], replicates, master_seed)[0, :, 0]
     sq = zs * zs
     m2 = float(sq.mean())
     m2_se = float(sq.std(ddof=1) / math.sqrt(replicates))
@@ -631,7 +583,6 @@ def window_scaling_probe(
     replicates: int,
     master_seed: int,
     predicted_gamma: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> WindowScalingReport:
     """Estimate E[(increment of the windowed field over [s0,s0']x[t0,t0'])^m]
     for each window and regress log moment on log window area (weighted by
@@ -661,9 +612,7 @@ def window_scaling_probe(
               - window_quadrature_rows(k1, m, s, s2, s0s))
     v_rows = (window_quadrature_rows(k2, m, t, t2, t0ps)
               - window_quadrature_rows(k2, m, t, t2, t0s))
-    proj = _project_replicates(
-        (spec,), lattice, u_rows, v_rows, replicates, master_seed, workers
-    )
+    proj = _project_replicates((spec,), lattice, u_rows, v_rows, replicates, master_seed)
     incs = proj[0, :, :: len(wlist) + 1]  # diagonal of each W x W projection
     powers = incs**m_order
     vals = powers.mean(axis=0)

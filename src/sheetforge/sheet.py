@@ -34,11 +34,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 _COORD_TOL = 1e-12
 
-# From this many rows up, numpy's strided axis-0 cumsum runs 1.5-2.5x slower
-# than a sweep of contiguous row adds (measured at M = 512 and 1024, 2 MB L2);
-# below, the sweep's per-row call costs more than it saves.
-_ROW_SWEEP_MIN_M = 512
-
 
 def mix64(master_seed: int, index: int) -> int:
     """Derive a per-replicate seed: SplitMix64 finalizer of the master seed
@@ -313,11 +308,7 @@ def simulate_sheet(model: LevyModel, n: float, lattice: Lattice, seed: int) -> S
         w = lattice.partition_widths()
         acc = sample_increments(model, n * np.outer(w, w), rng)
     # Prefix sums in place, in the association of cumsum(axis=0).cumsum(axis=1).
-    if len(acc) >= _ROW_SWEEP_MIN_M:
-        for i in range(1, len(acc)):
-            np.add(acc[i - 1], acc[i], out=acc[i])
-    else:
-        np.add.accumulate(acc, axis=0, out=acc)
+    np.add.accumulate(acc, axis=0, out=acc)
     np.add.accumulate(acc, axis=1, out=acc)
     if fixed:
         return SheetSample(None, model, float(n), int(seed), blocks=acc, block_ends=ends)

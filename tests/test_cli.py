@@ -428,17 +428,12 @@ def test_bad_config_json_exits_2(tmp_path, capsys):
     assert "bad config JSON" in payload["error"]["message"]
 
 
-def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch):
+def test_malformed_thread_count_exits_2(tmp_path, capsys):
     argv = ["covariance", "--preset", "brownian-baseline", *SMALL,
-            "--out", str(tmp_path / "o")]
-    monkeypatch.setenv("SHEETFORGE_THREADS", "two")
+            "--out", str(tmp_path / "o"), "--workers", "0"]
     code, payload = _cli(capsys, argv)
     assert code == 2
     assert payload["error"]["type"] == "ConfigError"
-    assert "SHEETFORGE_THREADS" in payload["error"]["message"]
-    monkeypatch.delenv("SHEETFORGE_THREADS")
-    code, payload = _cli(capsys, [*argv, "--workers", "0"])
-    assert code == 2
     assert "workers=0" in payload["error"]["message"]
 
 
@@ -453,6 +448,10 @@ def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch):
     ("eval_grid.s_points=[0.5,1.5]", "s_points"),
     ('bilinear_pairs=[[{"breaks":[0,2],"values":[1]},{"breaks":[0,1],"values":[1]}]]',
      "breaks"),
+    ("probes=5", "probes"),
+    ('probes="covariance"', "probes"),
+    ("bilinear_pairs=5", "bilinear_pairs"),
+    ("output_dir=5", "output_dir"),
 ])
 def test_malformed_config_values_exit_2(override, field, tmp_path, capsys):
     """Values of the wrong type or range are a ConfigError naming the field

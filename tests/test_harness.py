@@ -9,7 +9,6 @@ import pytest
 from sheetforge import harness
 from sheetforge import sheet as sheet_module
 from sheetforge import (
-    ConfigError,
     CovarianceReport,
     Deterministic,
     EvalGrid,
@@ -288,17 +287,17 @@ def test_default_zero_mean_policy():
 # -- replicate generation ------------------------------------------------------
 
 
-def test_generate_replicates_deterministic_and_thread_invariant():
+def test_generate_replicates_deterministic_and_prefix_stable():
+    """Same (config, seed), same values; replicate r depends on r alone, so a
+    shorter run is the first rows of a longer one."""
     spec = kac_stroock(50.0)
     grid = EvalGrid.square((0.5, 1.0))
     lat = Lattice(16)
     one = generate_replicates(spec, Indicator(), Indicator(), grid, lat, 40, 123)
     two = generate_replicates(spec, Indicator(), Indicator(), grid, lat, 40, 123)
     np.testing.assert_array_equal(one.values, two.values)
-    threaded = generate_replicates(
-        spec, Indicator(), Indicator(), grid, lat, 40, 123, workers=4
-    )
-    np.testing.assert_array_equal(one.values, threaded.values)
+    short = generate_replicates(spec, Indicator(), Indicator(), grid, lat, 20, 123)
+    np.testing.assert_array_equal(short.values, one.values[:20])
     other = generate_replicates(spec, Indicator(), Indicator(), grid, lat, 40, 124)
     assert not np.array_equal(one.values, other.values)
     assert one.points == grid_points(grid)
@@ -306,40 +305,6 @@ def test_generate_replicates_deterministic_and_thread_invariant():
     assert one.coupled_group is None
     with pytest.raises(InsufficientReplicates):
         generate_replicates(spec, Indicator(), Indicator(), grid, lat, 1, 123)
-
-
-@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
-def test_malformed_thread_variable_is_a_config_error(value, monkeypatch):
-    monkeypatch.setenv("SHEETFORGE_THREADS", value)
-    with pytest.raises(ConfigError, match="SHEETFORGE_THREADS"):
-        generate_replicates(kac_stroock(10.0), Indicator(), Indicator(),
-                            EvalGrid.square((1.0,)), Lattice(4), 4, 1)
-
-
-def test_thread_count_sources_and_cap(monkeypatch):
-    monkeypatch.delenv("SHEETFORGE_THREADS", raising=False)
-    assert harness._worker_count(None) == 1
-    monkeypatch.setenv("SHEETFORGE_THREADS", "")
-    assert harness._worker_count(None) == 1
-    monkeypatch.setenv("SHEETFORGE_THREADS", "3")
-    assert harness._worker_count(None) == 3
-    assert harness._worker_count(2) == 2  # the argument wins over the variable
-    for bad in (0, -1, 1.5, True, "two", float("nan")):
-        with pytest.raises(ConfigError, match="workers"):
-            harness._worker_count(bad)
-    pools = []
-
-    class RecordingPool(harness.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-    seen = []
-    harness._run_replicates(3, seen.append, workers=8)
-    harness._run_replicates(5, seen.append, workers=2)
-    assert pools == [3, 2]
-    assert sorted(seen) == [0, 0, 1, 1, 2, 2, 3, 4]
 
 
 def test_generate_coupled_replicates_sharing_and_validation():
@@ -378,7 +343,6 @@ def test_every_replicate_loop_draws_once_per_replicate(monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.delenv("SHEETFORGE_THREADS", raising=False)
     monkeypatch.setattr(harness, "simulate_sheet",
                         counting("sheet", harness.simulate_sheet))
     monkeypatch.setattr(harness, "theta_values_from_sheet",
@@ -417,8 +381,8 @@ def test_the_engine_never_builds_the_field_of_a_count_sheet(monkeypatch):
     lat, k, grid = Lattice(16), Indicator(), EvalGrid.square((0.5, 1.0))
     cos_spec = levy_cos(unit_jump_poisson(), 20.0, 1.0)
     sin_spec = levy_sin(unit_jump_poisson(), 20.0, 1.0)
-    generate_replicates(kac_stroock(20.0), k, k, grid, lat, 4, 1, workers=2)
-    generate_coupled_replicates(cos_spec, sin_spec, k, k, grid, lat, 4, 1, workers=2)
+    generate_replicates(kac_stroock(20.0), k, k, grid, lat, 4, 1)
+    generate_coupled_replicates(cos_spec, sin_spec, k, k, grid, lat, 4, 1)
     assert len(sheets) == 8
     assert all(s.blocks is not None and "field" not in vars(s) and "counts" not in vars(s)
                for s in sheets)
@@ -447,8 +411,8 @@ def test_every_probe_matches_the_dense_projection(monkeypatch):
     calls = []
     engine = harness._project_replicates
 
-    def capturing(specs, lattice, left, right, replicates, master_seed, workers):
-        out = engine(specs, lattice, left, right, replicates, master_seed, workers)
+    def capturing(specs, lattice, left, right, replicates, master_seed):
+        out = engine(specs, lattice, left, right, replicates, master_seed)
         calls.append((specs, lattice, left, right, out, master_seed))
         return out
 
@@ -462,7 +426,7 @@ def test_every_probe_matches_the_dense_projection(monkeypatch):
                                              jump_dist=Deterministic(1.0)))
     for model in models:
         cos_spec, sin_spec = levy_cos(model, 50.0, 1.0), levy_sin(model, 50.0, 1.0)
-        generate_replicates(cos_spec, k1, k2, grid, lat, r, 3, workers=2)
+        generate_replicates(cos_spec, k1, k2, grid, lat, r, 3)
         generate_coupled_replicates(cos_spec, sin_spec, k1, k2, grid, lat, r, 4)
         bilinear_moment_probe(sin_spec, f, f, lat, r, 5)
         window_scaling_probe(cos_spec, k1, k2, 2, (0.1, 0.9, 0.2, 0.8), windows, lat, r, 6)
@@ -521,7 +485,7 @@ def test_engine_matches_the_dense_projection_on_edge_sheets(case, h, monkeypatch
     left = quadrature_rows(FbmVolterra(0.6), m, points)
     right = quadrature_rows(FbmVolterra(0.4), m, points[1:])
     for group in specs:
-        out = harness._project_replicates(group, lat, left, right, 3, 9, None)
+        out = harness._project_replicates(group, lat, left, right, 3, 9)
         _assert_matches_dense(group, lat, left, right, out, 9)
 
 
