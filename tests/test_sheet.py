@@ -142,28 +142,46 @@ _PREFIX_SUM_MODELS = {
 }
 
 
-@pytest.mark.parametrize("prefix_sums", ["cumsum"])  # the one route; its name ends the test id
+# "row-sweep" cases run the prefix sums over 512 or more rows, the sheets an
+# earlier row-by-row prefix-sum route served; np.add.accumulate must give the
+# same bytes there as on small sheets ("cumsum").
+_ROW_SWEEP_ROWS = 512
+
+
+def _prefix_rows(sheet):
+    """Rows the prefix sums of a sheet ran over: its blocks for a count
+    sheet, its M + 1 nodes otherwise."""
+    return (sheet.field.values if sheet.blocks is None else sheet.blocks).shape[0]
+
+
+@pytest.mark.parametrize("extra_rows, n", [(_ROW_SWEEP_ROWS, 4000.0), (0, 50.0)],
+                         ids=["row-sweep", "cumsum"])
 @pytest.mark.parametrize("m", [1, 2, 7, 64])
 @pytest.mark.parametrize("name", sorted(_PREFIX_SUM_MODELS))
-def test_in_place_prefix_sums_match_cumsum_bytes(name, m, prefix_sums):
-    """The in-place prefix sums give the bytes of cumsum(axis=0).cumsum(axis=1)."""
+def test_in_place_prefix_sums_match_cumsum_bytes(name, m, extra_rows, n):
+    """The in-place prefix sums give the bytes of cumsum(axis=0).cumsum(axis=1),
+    on small sheets and on sheets of 512 or more prefix rows."""
     model = _PREFIX_SUM_MODELS[name]
-    lat = Lattice(m)
-    got = simulate_sheet(model, 50.0, lat, seed=m).field.values
-    want = _reference_sheet(model, 50.0, lat, m)
+    lat = Lattice(m + extra_rows)
+    sheet = simulate_sheet(model, n, lat, seed=m)
+    assert (_prefix_rows(sheet) >= _ROW_SWEEP_ROWS) == (extra_rows > 0)
+    got = sheet.field.values
+    want = _reference_sheet(model, n, lat, m)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("prefix_sums", ["cumsum"])
+@pytest.mark.parametrize("m, n", [(2 * _ROW_SWEEP_ROWS, 900.0), (16, 30.0)],
+                         ids=["row-sweep", "cumsum"])
 @pytest.mark.parametrize("h", [1.0, -1.0, 0.5, 0.1, 2.0])
-def test_fixed_jump_sheets_carry_their_counts(h, prefix_sums):
+def test_fixed_jump_sheets_carry_their_counts(h, m, n):
     """A pure Deterministic(h) sheet keeps its integer count sheet N, and its
     values are h * N, one rounding per node, with +0.0 in empty cells."""
-    lat = Lattice(16)
+    lat = Lattice(m)
     model = LevyModel(jump_rate=1.5, jump_dist=Deterministic(h))
-    sheet = simulate_sheet(model, 30.0, lat, seed=8)
+    sheet = simulate_sheet(model, n, lat, seed=8)
+    assert (_prefix_rows(sheet) >= _ROW_SWEEP_ROWS) == (m > 16)
     assert "field" not in vars(sheet)  # the float field is built on first read
-    want = _reference_counts(1.5, 30.0, lat, 8).cumsum(axis=0).cumsum(axis=1)
+    want = _reference_counts(1.5, n, lat, 8).cumsum(axis=0).cumsum(axis=1)
     assert sheet.counts.dtype == np.int64
     np.testing.assert_array_equal(sheet.counts, want)
     assert np.any(want == 0) and np.any(want > 0)
