@@ -5,7 +5,8 @@ and window scaling).
 
 Determinism contract: every probe is a pure function of (master_seed,
 parameters). Replicate r always uses the derived seed mix64(master_seed, r),
-and results are reduced in replicate order.
+and every reduction is a fixed function of the replicate-ordered (R, P)
+value array.
 """
 from __future__ import annotations
 
@@ -129,35 +130,27 @@ def theoretical_covariance(
     multiply, Cov[p, q] = (int K1(s_p,.) K1(s_q,.)) * (int K2(t_p,.) K2(t_q,.)).
     The result must be positive semidefinite (min eigenvalue >= -1e-8)."""
     pts = [(float(s), float(t)) for s, t in points]
-    svals = sorted({s for s, _ in pts})
-    tvals = sorted({t for _, t in pts})
-    f1 = {
-        (a, b): axis_inner_product(k1, a, b)
-        for i, a in enumerate(svals)
-        for b in svals[i:]
-    }
-    f2 = {
-        (a, b): axis_inner_product(k2, a, b)
-        for i, a in enumerate(tvals)
-        for b in tvals[i:]
-    }
-
-    def look(table, a, b):
-        return table[(a, b)] if a <= b else table[(b, a)]
-
-    n = len(pts)
-    cov = np.empty((n, n))
-    for i, (s, t) in enumerate(pts):
-        for j in range(i, n):
-            s2, t2 = pts[j]
-            cov[i, j] = cov[j, i] = look(f1, s, s2) * look(f2, t, t2)
-    if n:
+    f1, si = _axis_table(k1, [s for s, _ in pts])
+    f2, ti = _axis_table(k2, [t for _, t in pts])
+    cov = f1[np.ix_(si, si)] * f2[np.ix_(ti, ti)]
+    if pts:
         min_eig = float(np.linalg.eigvalsh(cov)[0])
         if min_eig < -_PSD_TOL:
             raise QuadratureFailure(
                 f"covariance matrix not PSD: min eigenvalue {min_eig:.3e}"
             )
     return cov
+
+
+def _axis_table(spec: KernelSpec, coords: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Table of axis_inner_product over the distinct coordinates, each pair
+    evaluated once in ascending order, and every coordinate's index into it."""
+    vals = sorted(set(coords))
+    table = np.empty((len(vals), len(vals)))
+    for i, a in enumerate(vals):
+        for j in range(i, len(vals)):
+            table[i, j] = table[j, i] = axis_inner_product(spec, a, vals[j])
+    return table, np.searchsorted(vals, coords)
 
 
 # -- empirical covariance ---------------------------------------------------
@@ -284,12 +277,8 @@ def empirical_covariance(
     if theoretical.shape != (p, p):
         raise OutOfRange("theoretical matrix has wrong shape")
     centered = values if zero_mean else values - values.mean(axis=0)
-    prods = np.einsum("ri,rj->rij", centered, centered)
-    if zero_mean:
-        emp = prods.mean(axis=0)
-    else:
-        emp = prods.sum(axis=0) / (r - 1)
-    se = prods.std(axis=0, ddof=1) / math.sqrt(r)
+    sums, se = _product_moments(centered, centered)
+    emp = sums / (r if zero_mean else r - 1)
     return CovarianceReport(
         points=tuple((float(s), float(t)) for s, t in points),
         empirical=emp,
@@ -298,6 +287,20 @@ def empirical_covariance(
         replicates=r,
         zero_mean=zero_mean,
     )
+
+
+def _product_moments(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sums S1 = a.T @ b of the per-replicate products p_r = a[r, i] b[r, j],
+    and their standard errors sd(p, ddof=1) / sqrt(R), from two GEMMs and no
+    (R, P, Q) array: sum_r (p_r - S1/R)^2 = S2 - S1^2/R with
+    S2 = (a*a).T @ (b*b). Rounding can take that difference below zero, so it
+    is clipped at 0."""
+    r = a.shape[0]
+    s1 = a.T @ b
+    sq = a * a
+    s2 = sq.T @ (sq if b is a else b * b)
+    var = np.maximum(s2 - s1 * s1 / r, 0.0) / (r - 1)
+    return s1, np.sqrt(var) / math.sqrt(r)
 
 
 # -- replicate generation ---------------------------------------------------
@@ -743,15 +746,11 @@ def independence_probe(
     r = a.shape[0]
     if r < 2:
         raise InsufficientReplicates(f"need at least 2 replicates, got {r}")
-    ac = a - a.mean(axis=0)
-    bc = b - b.mean(axis=0)
-    prods = np.einsum("ri,rj->rij", ac, bc)
-    cross = prods.sum(axis=0) / (r - 1)
-    se = prods.std(axis=0, ddof=1) / math.sqrt(r)
+    sums, se = _product_moments(a - a.mean(axis=0), b - b.mean(axis=0))
     return IndependenceReport(
         points_first=first.points,
         points_second=second.points,
-        cross_covariance=cross,
+        cross_covariance=sums / (r - 1),
         std_errors=se,
         replicates=r,
     )

@@ -550,9 +550,9 @@ def test_seed_flag_is_recorded_as_an_override(tmp_path, capsys):
 # -- determinism --------------------------------------------------------------
 
 
-def test_repeat_runs_are_byte_identical_except_timestamp(tmp_path, capsys):
-    argv = ["covariance", "--preset", "brownian-baseline", *SMALL]
-    dirs = [tmp_path / "a", tmp_path / "b"]
+def _assert_repeat_runs_identical(capsys, argv, dirs):
+    """Run argv once into each directory; every output must match byte for
+    byte, provenance.json outside its generated_at field."""
     for d in dirs:
         code, _ = _cli(capsys, argv + ["--out", str(d)])
         assert code == 0
@@ -570,6 +570,12 @@ def test_repeat_runs_are_byte_identical_except_timestamp(tmp_path, capsys):
         else:
             assert first == second
 
+
+def test_repeat_runs_are_byte_identical_except_timestamp(tmp_path, capsys):
+    argv = ["covariance", "--preset", "brownian-baseline", *SMALL]
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    _assert_repeat_runs_identical(capsys, argv, dirs)
+
     # a different master seed must change the Monte Carlo outputs
     reseeded = tmp_path / "c"
     code, _ = _cli(capsys, argv + ["--seed", "54321", "--out", str(reseeded)])
@@ -577,6 +583,18 @@ def test_repeat_runs_are_byte_identical_except_timestamp(tmp_path, capsys):
     assert (reseeded / "covariance_report.csv").read_bytes() != (
         dirs[0] / "covariance_report.csv"
     ).read_bytes()
+
+
+def test_repeat_runs_on_a_dense_grid_are_byte_identical(tmp_path, capsys):
+    """The covariance reductions are matrix products; on a 12 x 12 grid they
+    are 144 x 144, and their reports must repeat byte for byte as well."""
+    axis = [i / 12 for i in range(1, 13)]
+    grid = json.dumps({"s_points": axis, "t_points": axis})
+    argv = ["covariance", "--preset", "brownian-baseline", *SMALL, "--set", f"eval_grid={grid}"]
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    _assert_repeat_runs_identical(capsys, argv, dirs)
+    report = json.loads((dirs[0] / "covariance_report.json").read_text())
+    assert len(report["points"]) == 144
 
 
 # -- entry points ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 moment/gaussianity/independence probes, validated against exact discrete
 formulas and synthetic calibrations."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sheetforge import (
     LevyModel,
     MomentEstimate,
     OutOfRange,
+    ReplicateSet,
     StepFunction,
     UncoupledInputs,
     axis_inner_product,
@@ -43,6 +45,7 @@ from sheetforge import (
     window_scaling_probe,
 )
 
+from einsum_moments import reference_covariance, reference_cross_covariance
 from exact_oracle import exact_cross_covariance, exact_moments, exact_moments_quartic
 from triple_loop import reference_theta
 
@@ -133,6 +136,27 @@ def test_theoretical_covariance_quadrature_route(monkeypatch):
         np.testing.assert_allclose(quad, want, rtol=1e-6)
 
 
+@pytest.mark.parametrize("k1, k2", [
+    (Indicator(), Indicator()),
+    (FbmVolterra(0.6), FbmVolterra(0.4)),
+    (FbmVolterra(0.3), Indicator()),
+])
+def test_theoretical_covariance_bytes_match_pairwise_products(k1, k2):
+    """The matrix is gathered from per-axis tables; every entry must be the
+    bytes of the one product of the two axis factors, each taken with its
+    coordinates in ascending order. Points in any order, one repeated."""
+    axis = tuple(i / 12 for i in range(1, 13))
+    grid = grid_points(EvalGrid(axis, axis))
+    pts = [grid[k] for k in np.random.default_rng(12).permutation(len(grid))] + [grid[5]]
+    cov = theoretical_covariance(k1, k2, pts)
+    want = np.array([
+        [axis_inner_product(k1, min(s, s2), max(s, s2))
+         * axis_inner_product(k2, min(t, t2), max(t, t2)) for s2, t2 in pts]
+        for s, t in pts
+    ])
+    assert cov.tobytes() == want.tobytes()
+
+
 # -- empirical covariance ------------------------------------------------------
 
 
@@ -164,13 +188,103 @@ def test_empirical_covariance_se_calibration():
 
 
 def test_empirical_covariance_zero_field():
-    rep = empirical_covariance(
-        np.zeros((10, 2)), ((0.5, 0.5), (1.0, 1.0)), np.zeros((2, 2)),
-        zero_mean=True,
+    for zero_mean in (True, False):
+        rep = empirical_covariance(
+            np.zeros((10, 2)), ((0.5, 0.5), (1.0, 1.0)), np.zeros((2, 2)),
+            zero_mean=zero_mean,
+        )
+        assert not rep.std_errors.any()
+        assert rep.max_abs_deviation == 0.0
+        assert rep.max_std_deviation == 0.0
+        assert rep.passes()
+
+
+def _normwise(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def _points(p):
+    return tuple((float(i + 1) / p, 1.0) for i in range(p))
+
+
+@pytest.mark.parametrize("data", ["iid", "correlated", "shifted"])
+@pytest.mark.parametrize("zero_mean", [True, False])
+def test_empirical_covariance_matches_einsum_oracle(data, zero_mean):
+    """The GEMM reduction against the two-pass product-tensor estimator:
+    <= 1e-12 normwise relative for the estimate and for its SE."""
+    rng = np.random.default_rng(4242)
+    values = {
+        "iid": lambda: rng.standard_normal((4000, 3)),
+        # P = 144, R = 2000, neighbouring points strongly correlated
+        "correlated": lambda: np.cumsum(rng.standard_normal((2000, 144)), axis=1) / 12.0,
+        "shifted": lambda: rng.standard_normal((3000, 4)) @ rng.standard_normal((4, 4)) + 3.0,
+    }[data]()
+    p = values.shape[1]
+    rep = empirical_covariance(values, _points(p), np.zeros((p, p)), zero_mean)
+    emp, se = reference_covariance(values, zero_mean)
+    assert _normwise(rep.empirical, emp) <= 1e-12
+    assert _normwise(rep.std_errors, se) <= 1e-12
+    # the report prints the upper triangle only
+    assert np.array_equal(rep.empirical, rep.empirical.T)
+    assert np.array_equal(rep.std_errors, rep.std_errors.T)
+
+
+# The SE comes from the one-pass difference S2 - S1^2/R, whose rounding is at
+# most about R * eps * S2. Where the products do not vary that difference is
+# rounding alone, and the SE is at most sqrt(eps) times the product's size,
+# where the two-pass estimator gets eps times it.
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def test_empirical_covariance_constant_column():
+    """Under zero_mean a constant column has constant products: their SE is
+    zero up to rounding of the moment difference, never negative or NaN."""
+    rng = np.random.default_rng(99)
+    c = 3.7
+    values = np.column_stack((np.full(1000, c), rng.standard_normal(1000)))
+    rep = empirical_covariance(values, _points(2), np.zeros((2, 2)), zero_mean=True)
+    assert np.all(np.isfinite(rep.std_errors)) and np.all(rep.std_errors >= 0.0)
+    assert rep.std_errors[0, 0] <= _SQRT_EPS * c * c
+    assert rep.empirical[0, 0] == pytest.approx(c * c, rel=1e-14)
+    _, se = reference_covariance(values, zero_mean=True)
+    assert _normwise(rep.std_errors[1:], se[1:]) <= 1e-12
+
+
+def test_empirical_covariance_two_replicates_one_point():
+    values = np.array([[0.3], [-1.1]])
+    for zero_mean in (True, False):
+        rep = empirical_covariance(values, _points(1), np.zeros((1, 1)), zero_mean)
+        emp, se = reference_covariance(values, zero_mean)
+        assert _normwise(rep.empirical, emp) <= 1e-12
+        if zero_mean:
+            assert _normwise(rep.std_errors, se) <= 1e-12
+        else:
+            # two centred values are +-d: both products are d^2
+            assert rep.std_errors[0, 0] <= _SQRT_EPS * emp[0, 0]
+
+
+def test_reductions_hold_no_replicate_by_pair_array():
+    """At R = 2000, P = 144 the product tensor alone is 332 MiB; the
+    reductions must stay within a few (R, P) arrays."""
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((2, 2000, 144))
+    pts, theory = _points(144), np.zeros((144, 144))
+    spec = levy_cos(unit_jump_poisson(), 100.0, 1.0)
+    first = ReplicateSet(pts, a, spec, 1, coupled_group=(1, "cos-sin-pair"))
+    second = ReplicateSet(pts, b, spec, 1, coupled_group=(1, "cos-sin-pair"))
+    runs = (
+        lambda: empirical_covariance(a, pts, theory, zero_mean=True),
+        lambda: empirical_covariance(a, pts, theory, zero_mean=False),
+        lambda: independence_probe(first, second),
     )
-    assert rep.max_abs_deviation == 0.0
-    assert rep.max_std_deviation == 0.0
-    assert rep.passes()
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 def test_empirical_covariance_validation():
@@ -545,6 +659,15 @@ def test_independence_probe_on_coupled_pair():
     # the probe must have power: a set against itself is maximally dependent
     self_report = independence_probe(cset, cset)
     assert not self_report.passes(se_mult=5.0)
+    # the GEMM reduction against the two-pass product-tensor estimator
+    cross, se = reference_cross_covariance(cset.values, sset.values)
+    assert _normwise(report.cross_covariance, cross) <= 1e-12
+    assert _normwise(report.std_errors, se) <= 1e-12
+    for zero_mean in (True, False):
+        rep = empirical_covariance(cset.values, cset.points, np.zeros((4, 4)), zero_mean)
+        emp, emp_se = reference_covariance(cset.values, zero_mean)
+        assert _normwise(rep.empirical, emp) <= 1e-12
+        assert _normwise(rep.std_errors, emp_se) <= 1e-12
 
 
 def test_independence_probe_rejects_uncoupled_inputs():
