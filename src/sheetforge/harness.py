@@ -156,6 +156,13 @@ def _axis_table(spec: KernelSpec, coords: Sequence[float]) -> Tuple[np.ndarray, 
 # -- empirical covariance ---------------------------------------------------
 
 
+def _deviation_ratio(dev: np.ndarray, allow: np.ndarray) -> np.ndarray:
+    """|dev| / allow entrywise, 0 wherever dev is 0 (even where allow is)."""
+    dev = np.abs(dev)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dev == 0.0, 0.0, dev / allow)
+
+
 @dataclass
 class CovarianceReport:
     """Empirical vs theoretical covariance over a point set, with per-entry
@@ -168,13 +175,6 @@ class CovarianceReport:
     replicates: int
     zero_mean: bool
 
-    def entry(self, i: int, j: int) -> MomentEstimate:
-        return MomentEstimate(
-            float(self.empirical[i, j]),
-            float(self.std_errors[i, j]),
-            self.replicates,
-        )
-
     @property
     def deviations(self) -> np.ndarray:
         return self.empirical - self.theoretical
@@ -185,20 +185,12 @@ class CovarianceReport:
 
     @property
     def max_std_deviation(self) -> float:
-        dev = np.abs(self.deviations)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dev == 0.0, 0.0, dev / self.std_errors)
-        return float(np.max(ratio))
+        return float(np.max(_deviation_ratio(self.deviations, self.std_errors)))
 
     def worst_entry(self, se_mult: float = 5.0, floor: float = 0.0):
         """Index pair maximizing |deviation| / max(se_mult*SE, floor)."""
         allow = np.maximum(se_mult * self.std_errors, floor)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = np.where(
-                np.abs(self.deviations) == 0.0,
-                0.0,
-                np.abs(self.deviations) / allow,
-            )
+        score = _deviation_ratio(self.deviations, allow)
         return np.unravel_index(int(np.argmax(score)), score.shape)
 
     def passes(self, se_mult: float = 5.0, floor: float = 0.05) -> bool:
@@ -337,7 +329,7 @@ def _project_replicates(
     result has shape (len(specs), replicates, len(left) * len(right)).
 
     theta = n K sqrt(xy) f(L): the envelope is folded into the rows once per
-    call, theta_values_from_sheet gives f. On a count sheet's blocks, the
+    call, theta_values_from_sheet gives f on the sheet's blocks, and the
     rows are summed per block as differences of their prefix sums.
 
     simulate_sheet and theta_values_from_sheet are looked up as module
@@ -346,14 +338,13 @@ def _project_replicates(
         raise InsufficientReplicates(f"need at least 2 replicates, got {replicates}")
     model, n = specs[0].model, specs[0].n
     root = np.sqrt(lattice.midpoints())
-    # the rows as C-ordered columns, so that a block's entries are contiguous
-    cols = ((left * (n * specs[0].normalizer() * root)).T.copy(), (right * root).T.copy())
-    prefixes = tuple(np.concatenate((np.zeros((1, c.shape[1])), c.cumsum(axis=0))) for c in cols)
+    # prefix sums of the rows over the cells, one C-ordered row per cell boundary
+    prefixes = tuple(np.concatenate((np.zeros((1, len(a))), a.T.cumsum(axis=0)))
+                     for a in (left * (n * specs[0].normalizer() * root), right * root))
     out = np.empty((len(specs), replicates, len(left) * len(right)))
     for r in range(replicates):
         sheet = simulate_sheet(model, n, lattice, mix64(master_seed, r))
-        left_r, right_r = (cols if sheet.blocks is None
-                           else map(_block_sums, prefixes, sheet.block_ends))
+        left_r, right_r = map(_block_sums, prefixes, sheet.block_ends)
         for k, spec in enumerate(specs):
             out[k, r] = (left_r.T @ theta_values_from_sheet(spec, sheet) @ right_r).ravel()
     return out
@@ -490,23 +481,20 @@ def bilinear_moment_probe(
     lattice: Lattice,
     replicates: int,
     master_seed: int,
-    constant: Optional[float] = None,
 ) -> BilinearProbeReport:
     """Monte Carlo check of the bilinear second-moment bound
 
         E[(int int f(x) g(y) theta_n(x, y) dx dy)^2] <= C int f^2 int g^2
 
-    with C = 136 K^2 / a(angle)^2 for the wave kernels. For KacStroock the
-    constant is caller-supplied (default 1.0) and the report is informative
-    only."""
+    with C = 136 K^2 / a(angle)^2 for the wave kernels. For KacStroock C is
+    1.0 and the report is informative only."""
     if spec.kind in ("LevyCos", "LevySin"):
         k = normalizing_constant(spec.model, spec.angle)
         a_val = exponent(spec.model, spec.angle).a
         c = 136.0 * k * k / (a_val * a_val)
         bound_mode = True
     else:
-        c = 1.0 if constant is None else float(constant)
-        bound_mode = False
+        c, bound_mode = 1.0, False
     mids = lattice.midpoints()
     u = f.sample(mids) / lattice.m
     v = g.sample(mids) / lattice.m
@@ -706,10 +694,7 @@ class IndependenceReport:
 
     @property
     def max_std_deviation(self) -> float:
-        dev = np.abs(self.cross_covariance)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dev == 0.0, 0.0, dev / self.std_errors)
-        return float(np.max(ratio))
+        return float(np.max(_deviation_ratio(self.cross_covariance, self.std_errors)))
 
     def passes(self, se_mult: float = 5.0) -> bool:
         return self.max_std_deviation <= se_mult

@@ -58,6 +58,8 @@ _INNER_TOL = 1e-8
 _INNER_ORDER = 12
 _OUTER_TOL = 1e-9
 _OUTER_ORDER = 12
+# relative slack of check_profile's bounds, to absorb quadrature error
+_PROFILE_REL_TOL = 5e-3
 
 
 def volterra_constant(alpha: float) -> float:
@@ -295,9 +297,7 @@ def _singular_power(spec: KernelSpec) -> float | None:
     return None
 
 
-def l2_quadrature_nodes(
-    spec: KernelSpec, breaks: Sequence[float], order: int = _OUTER_ORDER
-):
+def l2_quadrature_nodes(spec: KernelSpec, breaks: Sequence[float]):
     """Quadrature nodes/weights on [0, max(breaks)] split at every break
     point, graded toward panel ends when the kernel family is singular: the
     node sets of every L2 integral of a kernel family (also the covariance
@@ -313,14 +313,14 @@ def l2_quadrature_nodes(
     nodes, wts = [], []
     lo = 0.0
     for hi in pts:
-        n_, w_ = graded_nodes(lo, hi, depth, order, grade_left=grade, grade_right=grade)
+        n_, w_ = graded_nodes(lo, hi, depth, _OUTER_ORDER, grade_left=grade, grade_right=grade)
         nodes.append(n_)
         wts.append(w_)
         lo = hi
     return np.concatenate(nodes), np.concatenate(wts)
 
 
-def increment_l2(spec: KernelSpec, s: float, s2: float, quad_points: int = _OUTER_ORDER) -> float:
+def increment_l2(spec: KernelSpec, s: float, s2: float) -> float:
     """int_0^1 (K(s2, r) - K(s, r))^2 dr for 0 <= s <= s2 <= 1.
 
     For FbmVolterra(alpha) this equals |s2 - s|^(2 alpha) exactly; the
@@ -330,14 +330,13 @@ def increment_l2(spec: KernelSpec, s: float, s2: float, quad_points: int = _OUTE
         raise OutOfRange(f"need 0 <= s <= s2 <= 1, got s={s}, s2={s2}")
     if s == s2:
         return 0.0
-    nodes, wts = l2_quadrature_nodes(spec, (s, s2), quad_points)
+    nodes, wts = l2_quadrature_nodes(spec, (s, s2))
     diff = kernel_row(spec, s2, nodes) - kernel_row(spec, s, nodes)
     return float(np.sum(diff * diff * wts))
 
 
 def windowed_increment_l2(
-    spec: KernelSpec, s: float, s2: float, r_lo: float, r_hi: float,
-    quad_points: int = _OUTER_ORDER,
+    spec: KernelSpec, s: float, s2: float, r_lo: float, r_hi: float
 ) -> float:
     """int_{r_lo}^{r_hi} (K(s2, r) - K(s, r))^2 dr."""
     if not (0.0 <= s <= s2 <= 1.0):
@@ -346,7 +345,7 @@ def windowed_increment_l2(
         raise OutOfRange(f"window [{r_lo}, {r_hi}] must lie inside [0, 1]")
     if s == s2 or r_lo == r_hi:
         return 0.0
-    nodes, wts = l2_quadrature_nodes(spec, (s, s2, r_lo, r_hi), quad_points)
+    nodes, wts = l2_quadrature_nodes(spec, (s, s2, r_lo, r_hi))
     keep = (nodes >= r_lo) & (nodes <= r_hi)
     nodes, wts = nodes[keep], wts[keep]
     if nodes.size == 0:
@@ -439,7 +438,6 @@ def fit_window_profile(
     spec: KernelSpec,
     pairs: Sequence[Tuple[float, float]],
     windows: Sequence[Tuple[float, float]],
-    quad_points: int = _OUTER_ORDER,
 ) -> Tuple[float, float]:
     """Empirical (m_bound, beta) for the windowed condition: fit the envelope
     of log(windowed integral) against log(window length) across all supplied
@@ -448,7 +446,7 @@ def fit_window_profile(
     lens, vals = [], []
     for (s, s2) in pairs:
         for (r_lo, r_hi) in windows:
-            v = windowed_increment_l2(spec, s, s2, r_lo, r_hi, quad_points)
+            v = windowed_increment_l2(spec, s, s2, r_lo, r_hi)
             if v > 0.0:
                 lens.append(r_hi - r_lo)
                 vals.append(v)
@@ -501,12 +499,10 @@ def check_profile(
     profile: IncrementProfile,
     pairs: Sequence[Tuple[float, float]],
     windows: Sequence[Tuple[float, float]] = (),
-    rel_tol: float = 5e-3,
-    quad_points: int = _OUTER_ORDER,
 ) -> ProfileReport:
     """Verify the declared profile on a grid of pairs (and windows for the
     windowed regime). Raises ProfileViolation on the first bound exceeded by
-    more than rel_tol (relative, to absorb quadrature error)."""
+    more than _PROFILE_REL_TOL."""
     if not pairs:
         raise OutOfRange("need at least one (s, s2) pair")
     worst = math.inf
@@ -515,10 +511,10 @@ def check_profile(
     for (s, s2) in pairs:
         if not (0.0 <= s < s2 <= 1.0):
             raise OutOfRange(f"bad pair ({s}, {s2})")
-        value = increment_l2(spec, s, s2, quad_points)
+        value = increment_l2(spec, s, s2)
         bound = (profile.g(s2) - profile.g(s)) ** profile.exponent
         slack = bound - value
-        if value > bound * (1.0 + rel_tol) + 1e-12:
+        if value > bound * (1.0 + _PROFILE_REL_TOL) + 1e-12:
             raise ProfileViolation(
                 f"squared-increment bound violated at (s={s}, s2={s2}): "
                 f"value={value:.6g} > bound={bound:.6g}",
@@ -531,10 +527,10 @@ def check_profile(
         for (s, s2) in pairs:
             for (r_lo, r_hi) in windows:
                 n_windows += 1
-                value = windowed_increment_l2(spec, s, s2, r_lo, r_hi, quad_points)
+                value = windowed_increment_l2(spec, s, s2, r_lo, r_hi)
                 bound = profile.m_bound * (r_hi - r_lo) ** profile.beta
                 slack = bound - value
-                if value > bound * (1.0 + rel_tol) + 1e-12:
+                if value > bound * (1.0 + _PROFILE_REL_TOL) + 1e-12:
                     raise ProfileViolation(
                         f"windowed bound violated at (s={s}, s2={s2}), "
                         f"window [{r_lo}, {r_hi}]: value={value:.6g} > bound={bound:.6g}",

@@ -5,14 +5,16 @@ per axis is [0, x_1], (x_1, x_2], ..., (x_{M-1}, x_M] (first cell half-width),
 so cumulative sums of independent per-cell increments give the sheet value
 exactly AT the midpoints (a pure fixed-jump sheet bins Poisson uniform
 points onto it, and keeps its counts per block of occupied rows and
-columns). Quadrature over theta fields elsewhere uses the uniform
-midpoint-rule weight 1/M; the two weight systems are intentionally distinct.
+columns; every other sheet keeps its values on one block per cell).
+Quadrature over theta fields elsewhere uses the uniform midpoint-rule
+weight 1/M; the two weight systems are intentionally distinct.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -182,45 +184,31 @@ class GridField:
 
 @dataclass
 class SheetSample:
-    """One exact draw of the Levy sheet at the scaled lattice midpoints:
-    field.values[i, j] = L(sqrt(n) x_i, sqrt(n) y_j).
+    """One exact draw of the Levy sheet L at the scaled lattice midpoints
+    (sqrt(n) x_i, sqrt(n) y_j), constant on blocks of cells: blocks holds
+    L per block, block_ends per axis the cell index one past each block
+    (the last is M; the first block is empty if cell 0 is occupied).
 
     For a pure fixed-jump model (sigma = 0, drift = 0, Deterministic(h)
     jumps at a positive rate) the sheet is h * N with N a Poisson count
     sheet, constant on the blocks the occupied cells cut out of each axis:
-    blocks holds N there (int64), block_ends per axis the cell index one
-    past each block (the last is M; the first is empty if cell 0 is
-    occupied). counts (N on the M x M cells) and field are built when first
-    read; a sample made with counts takes each cell as a block. Other
-    sheets have counts, blocks and block_ends None."""
+    blocks holds N there (int64). Every other sheet has unit blocks, one per
+    cell (block_ends 1..M on both axes), holding its float64 values. field,
+    the values on the M x M cells, is built when first read."""
 
-    field: Optional[GridField]
     model: LevyModel
     n: float
     seed: int
-    # a factory, not a default, leaves no class attribute to shadow __getattr__
-    counts: Optional[np.ndarray] = field(default_factory=lambda: None)
-    blocks: Optional[np.ndarray] = None
-    block_ends: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    blocks: np.ndarray
+    block_ends: Tuple[np.ndarray, np.ndarray]
 
-    def __post_init__(self):
-        if self.counts is not None:
-            cells = np.arange(1, len(self.counts) + 1)
-            self.blocks, self.block_ends = self.counts, (cells, cells)
-        elif self.blocks is not None:
-            del self.counts  # __getattr__ spreads the blocks when read
-        if self.field is None:
-            del self.field  # a count sheet: __getattr__ builds h * N when read
-
-    def __getattr__(self, name: str):
-        if name == "counts":
-            self.counts = self.on_cells(self.blocks)
-            return self.counts
-        if name != "field":
-            raise AttributeError(name)
-        values = _jump_values(self.model.jump_dist.h, self.counts)
-        self.field = _sheet_field(values, self.n, self.seed)
-        return self.field
+    @cached_property
+    def field(self) -> GridField:
+        per_block = self.blocks
+        if per_block.dtype == np.int64:
+            per_block = _jump_values(self.model.jump_dist.h, per_block)
+        values = self.on_cells(per_block)
+        return GridField(Lattice(len(values)), values, meta={"n": self.n, "seed": self.seed})
 
     def on_cells(self, per_block: np.ndarray) -> np.ndarray:
         """Values given per block, spread over the M x M cells."""
@@ -271,24 +259,20 @@ def _jump_values(h: float, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sheet_field(values: np.ndarray, n: float, seed: int) -> GridField:
-    """The sheet values as the GridField every sample exposes as .field."""
-    return GridField(Lattice(len(values)), values, meta={"n": float(n), "seed": int(seed)})
-
-
 def simulate_sheet(model: LevyModel, n: float, lattice: Lattice, seed: int) -> SheetSample:
     """Sample the sheet exactly at the scaled midpoints (sqrt(n) x_i, sqrt(n) y_j).
 
     Cell areas in the scaled domain are n * w_i * w_j with w the partition
     widths; node values are cumulative rectangular sums of the independent
-    per-cell increments. A pure fixed-jump model draws a point set in this
-    order: T ~ Poisson(rate * n * (1 - 1/(2M))^2), then T row and T column
-    uniforms U (rng.random((2, T)), rows first), each binned to cell
+    per-cell increments, held on unit blocks (one per cell). A pure
+    fixed-jump model draws a point set in this order:
+    T ~ Poisson(rate * n * (1 - 1/(2M))^2), then T row and T column uniforms
+    U (rng.random((2, T)), rows first), each binned to cell
     min(floor(U * (M - 1/2) + 1/2), M - 1); given T, the multinomial law of
     independent Poisson(rate * n * w_i * w_j) cells (Devroye 1986). A
     point's block per axis is the count of occupied cells up to its own;
-    bincount and the prefix sums run on the blocks. Deterministic given
-    (model, n, lattice.m, seed)."""
+    bincount and the prefix sums run on the blocks, which hold the int64
+    counts. Deterministic given (model, n, lattice.m, seed)."""
     if not (math.isfinite(n) and n > 0):
         raise OutOfRange(f"n={n} must be finite and > 0")
     m, rate, jd = lattice.m, model.jump_rate, model.jump_dist
@@ -307,9 +291,8 @@ def simulate_sheet(model: LevyModel, n: float, lattice: Lattice, seed: int) -> S
     else:
         w = lattice.partition_widths()
         acc = sample_increments(model, n * np.outer(w, w), rng)
+        ends = (np.arange(1, m + 1),) * 2
     # Prefix sums in place, in the association of cumsum(axis=0).cumsum(axis=1).
     np.add.accumulate(acc, axis=0, out=acc)
     np.add.accumulate(acc, axis=1, out=acc)
-    if fixed:
-        return SheetSample(None, model, float(n), int(seed), blocks=acc, block_ends=ends)
-    return SheetSample(_sheet_field(acc, n, seed), model, float(n), int(seed))
+    return SheetSample(model, float(n), int(seed), acc, ends)

@@ -168,20 +168,22 @@ _PARITY.setflags(write=False)
 
 
 def theta_values_from_sheet(spec: ThetaSpec, sheet: SheetSample) -> np.ndarray:
-    """f(L) = (-1)^L, cos(angle L) or sin(angle L) of the sheet values L,
-    without the envelope: theta = n K sqrt(xy) f(L). A count sheet (L = h N)
-    gives f on its blocks, by a per-count table of f gathered by N while the
-    table is no longer than the blocks; any other sheet gives f on the M x M
-    cells. The bytes are those of the elementwise transform."""
+    """f(L) = (-1)^L, cos(angle L) or sin(angle L) on the sheet's blocks,
+    without the envelope: theta = n K sqrt(xy) f(L). Float blocks (values
+    L) are transformed elementwise. int64 blocks (counts N, L = h N) take a
+    per-count table of f gathered by N while the table is no longer than
+    the blocks, and the elementwise transform of h N past that. The bytes
+    are those of the elementwise transform."""
     blocks = sheet.blocks
+    counts = blocks.dtype == np.int64
     if spec.kind == "KacStroock":
+        if counts:
+            return _PARITY[blocks & 1]
         # sheet values are exact integer counts (unit jumps); parity flips sign
-        if blocks is None:
-            return 1.0 - 2.0 * np.mod(sheet.field.values, 2.0)
-        return _PARITY[blocks & 1]
+        return 1.0 - 2.0 * np.mod(blocks, 2.0)
     wave_of = np.cos if spec.kind == "LevyCos" else np.sin
-    if blocks is None:
-        return wave_of(spec.angle * sheet.field.values)
+    if not counts:
+        return wave_of(spec.angle * blocks)
     h, total = sheet.model.jump_dist.h, blocks[-1, -1]
     # the corner holds the largest count (prefix sums); a longer table costs more
     if total >= blocks.size:
@@ -191,9 +193,7 @@ def theta_values_from_sheet(spec: ThetaSpec, sheet: SheetSample) -> np.ndarray:
 
 def _theta_field(spec: ThetaSpec, sheet: SheetSample, lattice: Lattice, meta: dict) -> GridField:
     """theta = n K sqrt(xy) f(L) on the lattice midpoints."""
-    wave = theta_values_from_sheet(spec, sheet)
-    if sheet.blocks is not None:
-        wave = sheet.on_cells(wave)
+    wave = sheet.on_cells(theta_values_from_sheet(spec, sheet))
     x = lattice.midpoints()
     values = spec.n * spec.normalizer() * np.sqrt(np.outer(x, x)) * wave
     return GridField(lattice, values, node_kind="midpoint", meta=meta)

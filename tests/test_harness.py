@@ -483,8 +483,9 @@ def test_every_replicate_loop_draws_once_per_replicate(monkeypatch):
 
 
 def test_the_engine_never_builds_the_field_of_a_count_sheet(monkeypatch):
-    """Count sheets reach theta as int64 blocks: the replicate engine never
-    builds the float h * N field or the M x M counts."""
+    """Sheets reach theta as blocks, int64 counts for a count sheet and
+    float64 values on unit blocks for a sigma > 0 sheet: the replicate
+    engine never builds the M x M field of either."""
     sheets = []
 
     def keeping(*args):
@@ -497,9 +498,11 @@ def test_the_engine_never_builds_the_field_of_a_count_sheet(monkeypatch):
     sin_spec = levy_sin(unit_jump_poisson(), 20.0, 1.0)
     generate_replicates(kac_stroock(20.0), k, k, grid, lat, 4, 1)
     generate_coupled_replicates(cos_spec, sin_spec, k, k, grid, lat, 4, 1)
-    assert len(sheets) == 8
-    assert all(s.blocks is not None and "field" not in vars(s) and "counts" not in vars(s)
-               for s in sheets)
+    noisy = LevyModel(sigma=0.5, jump_rate=1.0, jump_dist=Deterministic(1.0))
+    generate_replicates(levy_cos(noisy, 20.0, 1.0), k, k, grid, lat, 4, 1)
+    assert len(sheets) == 12
+    assert [s.blocks.dtype for s in sheets] == [np.int64] * 8 + [np.float64] * 4
+    assert all("field" not in vars(s) for s in sheets)
 
 
 def _assert_matches_dense(specs, lattice, left, right, out, master_seed):

@@ -149,9 +149,9 @@ _ROW_SWEEP_ROWS = 512
 
 
 def _prefix_rows(sheet):
-    """Rows the prefix sums of a sheet ran over: its blocks for a count
-    sheet, its M + 1 nodes otherwise."""
-    return (sheet.field.values if sheet.blocks is None else sheet.blocks).shape[0]
+    """Rows the prefix sums of a sheet ran over: its blocks (M unit blocks
+    for a sheet that is not a count sheet)."""
+    return sheet.blocks.shape[0]
 
 
 @pytest.mark.parametrize("extra_rows, n", [(_ROW_SWEEP_ROWS, 4000.0), (0, 50.0)],
@@ -182,8 +182,8 @@ def test_fixed_jump_sheets_carry_their_counts(h, m, n):
     assert (_prefix_rows(sheet) >= _ROW_SWEEP_ROWS) == (m > 16)
     assert "field" not in vars(sheet)  # the float field is built on first read
     want = _reference_counts(1.5, n, lat, 8).cumsum(axis=0).cumsum(axis=1)
-    assert sheet.counts.dtype == np.int64
-    np.testing.assert_array_equal(sheet.counts, want)
+    assert sheet.blocks.dtype == np.int64
+    np.testing.assert_array_equal(sheet.on_cells(sheet.blocks), want)
     assert np.any(want == 0) and np.any(want > 0)
     values = np.where(want == 0, 0.0, h * want)
     assert not np.signbit(values[want == 0]).any()
@@ -199,7 +199,12 @@ def test_fixed_jump_sheets_carry_their_counts(h, m, n):
     LevyModel(jump_rate=0.0, jump_dist=Deterministic(1.0)),
 ], ids=["brownian", "sigma+jumps", "drift+jumps", "two-point", "gaussian-jump", "rate-0"])
 def test_other_sheets_carry_no_counts(model):
-    assert simulate_sheet(model, 30.0, Lattice(16), seed=8).counts is None
+    """Every sheet but a pure fixed-jump one holds float64 values on unit
+    blocks, one per cell."""
+    sheet = simulate_sheet(model, 30.0, Lattice(16), seed=8)
+    assert sheet.blocks.dtype == np.float64 and sheet.blocks.shape == (16, 16)
+    assert all(np.array_equal(ends, np.arange(1, 17)) for ends in sheet.block_ends)
+    assert sheet.field.values.tobytes() == sheet.blocks.tobytes()
 
 
 @pytest.mark.parametrize("m, n", [(1, 0.8), (1, 3.0), (4, 16.5), (64, 30.0)],
@@ -210,14 +215,15 @@ def test_fixed_jump_counts_replay_the_documented_draw(m, n):
     lat = Lattice(m)
     sheet = simulate_sheet(unit_jump_poisson(), n, lat, seed=21)
     want = _reference_counts(1.0, n, lat, 21).cumsum(axis=0).cumsum(axis=1)
-    assert sheet.counts.dtype == np.int64 and sheet.counts.shape == (m, m)
-    np.testing.assert_array_equal(sheet.counts, want)
+    counts = sheet.on_cells(sheet.blocks)
+    assert counts.dtype == np.int64 and counts.shape == (m, m)
+    np.testing.assert_array_equal(counts, want)
 
 
 def test_fixed_jump_sheet_without_points_is_all_plus_zero():
     sheet = simulate_sheet(LevyModel(jump_rate=1.0, jump_dist=Deterministic(-2.0)),
                            1e-9, Lattice(8), seed=4)
-    assert sheet.counts.dtype == np.int64 and not sheet.counts.any()
+    assert sheet.blocks.dtype == np.int64 and not sheet.blocks.any()
     assert sheet.field.values.tobytes() == np.zeros((8, 8)).tobytes()
 
 
@@ -240,7 +246,8 @@ def test_points_at_the_upper_edge_fall_in_the_last_cell(m, u, monkeypatch):
     """The largest uniform the generator returns, 1 - 2^-53, bins into the
     last cell; so does 1.0, past its range, through the clip at M - 1."""
     monkeypatch.setattr(sheet_module.np.random, "default_rng", lambda _: _UpperEdgeRng(u))
-    counts = simulate_sheet(unit_jump_poisson(), 1.0, Lattice(m), seed=0).counts
+    sheet = simulate_sheet(unit_jump_poisson(), 1.0, Lattice(m), seed=0)
+    counts = sheet.on_cells(sheet.blocks)
     assert counts[-1, -1] == 3 and not counts[:-1].any() and not counts[:, :-1].any()
 
 
@@ -252,8 +259,8 @@ def test_fixed_jump_counts_follow_the_exact_law(n):
     against the exact moments)."""
     rate, lat, reps = 1.5, Lattice(4), 4000
     model = LevyModel(jump_rate=rate, jump_dist=Deterministic(1.0))
-    draws = np.array([simulate_sheet(model, n, lat, seed=mix64(2718, r)).counts.ravel()
-                      for r in range(reps)], dtype=float)
+    sheets = (simulate_sheet(model, n, lat, seed=mix64(2718, r)) for r in range(reps))
+    draws = np.array([s.on_cells(s.blocks).ravel() for s in sheets], dtype=float)
     x = np.repeat(lat.midpoints(), 4)
     y = np.tile(lat.midpoints(), 4)
     mean = rate * n * x * y

@@ -1,5 +1,4 @@
 """Random-kernel fields: parity and wave kinds, coupling, integration."""
-import dataclasses
 import json
 import math
 
@@ -10,7 +9,6 @@ from sheetforge import (
     ConfigError,
     DegenerateAngle,
     Deterministic,
-    GridField,
     Lattice,
     LevyModel,
     OutOfRange,
@@ -100,9 +98,10 @@ def test_rate_zero_parity_diagnostic_is_deterministic():
     np.testing.assert_array_equal(th.values, _envelope(25.0, lat))
 
 
-def _frozen_sheet(model, values, counts=None):
-    lat = Lattice(values.shape[0])
-    return SheetSample(GridField(lat, values), model, 9.0, 0, counts=counts)
+def _frozen_sheet(model, blocks):
+    """A sheet of one block per cell: float values L, or int64 counts N."""
+    cells = np.arange(1, blocks.shape[0] + 1)
+    return SheetSample(model, 9.0, 0, blocks, (cells, cells))
 
 
 def test_wave_fields_on_a_frozen_sheet():
@@ -117,8 +116,7 @@ def test_wave_fields_on_a_frozen_sheet():
         theta_values_from_sheet(spec_s, zero_sheet), np.zeros((4, 4))
     )
     counts = np.arange(16).reshape(4, 4)
-    for sheet in (_frozen_sheet(unit, counts * 1.0),
-                  _frozen_sheet(unit, counts * 1.0, counts=counts)):
+    for sheet in (_frozen_sheet(unit, counts * 1.0), _frozen_sheet(unit, counts)):
         np.testing.assert_array_equal(
             theta_values_from_sheet(spec_c, sheet), np.cos(1.3 * counts)
         )
@@ -143,11 +141,11 @@ def _specs_for(model, n):
 def _check_count_sheet_theta(sheet, lat, seed):
     """A count sheet's transform on its blocks, spread over the cells, and
     realize_theta's field both have the bytes of the elementwise reference.
-    The counts alone give them: a copy with NaN values (whose M x M counts
-    are its blocks) gives the same bytes."""
+    The counts alone give them: a copy whose blocks are the M x M counts
+    gives the same bytes without building its field."""
     m = lat.m
-    blind = dataclasses.replace(sheet, field=GridField(lat, np.full((m, m), np.nan)))
-    assert blind.blocks.shape == (m, m)
+    blind = _frozen_sheet(sheet.model, sheet.on_cells(sheet.blocks))
+    assert blind.blocks.shape == (m, m) and blind.blocks.dtype == np.int64
     for spec in _specs_for(sheet.model, sheet.n):
         wave = theta_values_from_sheet(spec, sheet)
         assert wave.shape == sheet.blocks.shape
@@ -156,6 +154,7 @@ def _check_count_sheet_theta(sheet, lat, seed):
         assert _same_bytes(theta_values_from_sheet(spec, blind), want), spec.kind
         theta = realize_theta(spec, lat, seed)
         assert _same_bytes(theta.values, _reference_theta(spec, sheet.field.values, lat))
+    assert "field" not in vars(blind)
 
 
 @pytest.mark.parametrize("m, n", [(7, 40.0), (64, 400.0)])
@@ -165,7 +164,8 @@ def test_lattice_sheets_take_the_count_table_byte_identically(h, m, n):
     longest table taken."""
     lat = Lattice(m)
     sheet = simulate_sheet(_fixed_jump(h), n, lat, seed=31 + m)
-    blocks, counts = sheet.blocks, sheet.counts
+    blocks = sheet.blocks
+    counts = sheet.on_cells(blocks)
     assert blocks[-1, -1] == counts.max() and 0 < counts.max() < counts.size <= blocks.size
     # empty cells hold +0.0; for h < 0 the table's zero step must too
     assert np.any(counts == 0)
@@ -189,7 +189,9 @@ def test_sheets_without_counts_take_the_elementwise_path():
         LevyModel(drift=0.25, jump_rate=1.0, jump_dist=Deterministic(1.0)),
     ):
         sheet = simulate_sheet(model, 100.0, lat, seed=5)
-        assert sheet.counts is None and sheet.blocks is None
+        cells = np.arange(1, 17)
+        assert sheet.blocks.dtype == np.float64 and sheet.blocks.shape == (16, 16)
+        assert all(np.array_equal(ends, cells) for ends in sheet.block_ends)
         for spec in _specs_for(model, 100.0):
             want = _reference_wave(spec, sheet.field.values)
             assert _same_bytes(theta_values_from_sheet(spec, sheet), want), spec.kind
