@@ -8,27 +8,29 @@ K1(s_k, u_i)/M and B[l, j] = K2(t_l, v_j)/M. The quadrature rule is fixed
 (uniform midpoint weights) so the statistical harness can compare against
 the exact covariance of the same discrete model.
 
-Also builds the windowed auxiliary field
+The quadrature rows serve the replicate engine too, including the
+difference-kernel rows of the windowed auxiliary field
 
     Y_n(s0, t0) = int_{[0,s0]x[0,t0]} (K1(s',x)-K1(s,x)) (K2(t',y)-K2(t,y))
                   theta_n(x, y) dx dy
 
 whose (1,1) value reproduces the rectangle increment of X_n over
-[s,s']x[t,t'].
+[s,s']x[t,t'] (window_quadrature_rows; the window-scaling probe projects
+every replicate through them).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import OutOfRange, PointNotOnEvalGrid
-from .kernels import KernelSpec, kernel_from_json_obj, kernel_matrix, kernel_row
+from .kernels import KernelSpec, kernel_matrix, kernel_row
 from .sheet import Lattice
-from .theta import ThetaField, theta_spec_from_json_obj
+from .theta import ThetaField
 
 __all__ = [
     "EvalGrid",
@@ -36,7 +38,6 @@ __all__ = [
     "quadrature_rows",
     "window_quadrature_rows",
     "build_approximation",
-    "build_window_field",
 ]
 
 _COORD_TOL = 1e-12
@@ -91,7 +92,6 @@ class ApproxField:
     lattice_m: int
     seed: Optional[int] = None
     theta_spec_json: Optional[dict] = None
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -117,15 +117,13 @@ class ApproxField:
         )
 
     def provenance(self) -> dict:
-        prov = {
+        return {
             "k1": self.k1.to_json_obj(),
             "k2": self.k2.to_json_obj(),
             "lattice_m": self.lattice_m,
             "seed": self.seed,
             "theta_spec": self.theta_spec_json,
         }
-        prov.update(self.meta)
-        return prov
 
     def to_json_obj(self) -> dict:
         return {
@@ -135,30 +133,9 @@ class ApproxField:
             "provenance": self.provenance(),
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ApproxField":
-        if obj.get("schema") != "sheetforge/approxfield/1":
-            raise OutOfRange(f"unexpected schema {obj.get('schema')!r}")
-        grid = EvalGrid(tuple(obj["grid"]["s_points"]), tuple(obj["grid"]["t_points"]))
-        prov = dict(obj["provenance"])
-        k1 = kernel_from_json_obj(prov.pop("k1"))
-        k2 = kernel_from_json_obj(prov.pop("k2"))
-        m = prov.pop("lattice_m")
-        seed = prov.pop("seed", None)
-        tsj = prov.pop("theta_spec", None)
-        if tsj is not None:
-            theta_spec_from_json_obj(tsj)  # validate
-        return cls(grid, np.array(obj["values"]), k1, k2, m,
-                   seed=seed, theta_spec_json=tsj, meta=prov)
-
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json_obj(), fh, sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, path) -> "ApproxField":
-        with open(path) as fh:
-            return cls.from_json_obj(json.load(fh))
 
     def to_csv(self, path) -> None:
         prov = json.dumps(self.provenance(), sort_keys=True)
@@ -201,17 +178,6 @@ def window_quadrature_rows(
 # -- field assembly --------------------------------------------------------
 
 
-def _theta_parts(theta: ThetaField):
-    vals = theta.field.values
-    m = theta.field.lattice.m
-    tsj = theta.spec.to_json_obj()
-    meta = {}
-    if theta.coupled_tag is not None:
-        meta["coupled_tag"] = list(theta.coupled_tag)
-        meta["theta_kind"] = theta.spec.kind
-    return vals, m, theta.seed, tsj, meta
-
-
 def build_approximation(
     theta: ThetaField,
     k1: KernelSpec,
@@ -219,36 +185,11 @@ def build_approximation(
     grid: EvalGrid,
 ) -> ApproxField:
     """Evaluate X_n on the grid as the two dense matrix products A Theta B^T."""
-    vals, m, seed, tsj, meta = _theta_parts(theta)
+    m = theta.field.lattice.m
     if m < 2:
         raise OutOfRange("theta lattice must have M >= 2")
     a = quadrature_rows(k1, m, grid.s_points)
     b = quadrature_rows(k2, m, grid.t_points)
-    x = a @ vals @ b.T
-    return ApproxField(grid, x, k1, k2, m, seed=seed, theta_spec_json=tsj, meta=meta)
-
-
-def build_window_field(
-    theta: ThetaField,
-    k1: KernelSpec,
-    k2: KernelSpec,
-    s: float,
-    s2: float,
-    t: float,
-    t2: float,
-    window_grid: EvalGrid,
-) -> ApproxField:
-    """Evaluate the windowed auxiliary field Y_n on window_grid. Y_n(1, 1)
-    equals the rectangle increment of X_n over [s,s2]x[t,t2] (same sums up
-    to floating-point association)."""
-    if not (0.0 <= s <= s2 <= 1.0) or not (0.0 <= t <= t2 <= 1.0):
-        raise OutOfRange("need 0 <= s <= s2 <= 1 and 0 <= t <= t2 <= 1")
-    vals, m, seed, tsj, meta = _theta_parts(theta)
-    if m < 2:
-        raise OutOfRange("theta lattice must have M >= 2")
-    a = window_quadrature_rows(k1, m, s, s2, window_grid.s_points)
-    b = window_quadrature_rows(k2, m, t, t2, window_grid.t_points)
-    y = a @ vals @ b.T
-    meta = {**meta, "window_rect": [s, s2, t, t2]}
-    return ApproxField(window_grid, y, k1, k2, m,
-                       seed=seed, theta_spec_json=tsj, meta=meta)
+    x = a @ theta.values @ b.T
+    return ApproxField(grid, x, k1, k2, m, seed=theta.seed,
+                       theta_spec_json=theta.spec.to_json_obj())

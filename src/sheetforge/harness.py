@@ -33,7 +33,7 @@ from .kernels import (
 )
 from .levy import exponent, normalizing_constant
 from .sheet import Lattice, mix64, simulate_sheet
-from .theta import ThetaSpec, _check_coupled_pair, theta_values_from_sheet
+from .theta import ThetaSpec, theta_values_from_sheet
 
 __all__ = [
     "MomentEstimate",
@@ -186,12 +186,6 @@ class CovarianceReport:
     @property
     def max_std_deviation(self) -> float:
         return float(np.max(_deviation_ratio(self.deviations, self.std_errors)))
-
-    def worst_entry(self, se_mult: float = 5.0, floor: float = 0.0):
-        """Index pair maximizing |deviation| / max(se_mult*SE, floor)."""
-        allow = np.maximum(se_mult * self.std_errors, floor)
-        score = _deviation_ratio(self.deviations, allow)
-        return np.unravel_index(int(np.argmax(score)), score.shape)
 
     def passes(self, se_mult: float = 5.0, floor: float = 0.05) -> bool:
         """Every entry within max(se_mult * SE, floor) of theory."""
@@ -374,6 +368,20 @@ def generate_replicates(
     return ReplicateSet(grid_points(grid), out[0], spec, master_seed)
 
 
+def _check_coupled_pair(cos_spec: ThetaSpec, sin_spec: ThetaSpec) -> None:
+    """A coupled pair is (LevyCos, LevySin) specs that agree on everything
+    but the kind, so one sheet draw serves both."""
+    if cos_spec.kind != "LevyCos" or sin_spec.kind != "LevySin":
+        raise OutOfRange("need (LevyCos, LevySin) specs")
+    if (
+        cos_spec.model != sin_spec.model
+        or cos_spec.n != sin_spec.n
+        or cos_spec.angle != sin_spec.angle
+        or cos_spec.m_guard != sin_spec.m_guard
+    ):
+        raise OutOfRange("paired specs must share model, n, angle and m_guard")
+
+
 def generate_coupled_replicates(
     cos_spec: ThetaSpec,
     sin_spec: ThetaSpec,
@@ -540,13 +548,6 @@ class WindowScalingReport:
     @property
     def slope_ci(self) -> Tuple[float, float]:
         return (self.slope - 2.0 * self.slope_se, self.slope + 2.0 * self.slope_se)
-
-    def consistent_with_prediction(self) -> Optional[bool]:
-        """Upper CI end at or above the predicted minimum slope (None when
-        no prediction was supplied)."""
-        if self.predicted_min_slope is None:
-            return None
-        return self.slope_ci[1] >= self.predicted_min_slope
 
     def to_json_obj(self) -> dict:
         return {

@@ -182,10 +182,6 @@ class ExponentValue:
     a: float
     b: float
 
-    @property
-    def psi(self) -> complex:
-        return complex(self.a, self.b)
-
 
 def unit_jump_poisson(rate: float = 1.0) -> LevyModel:
     """Pure Poisson model with unit jumps; the classical parity/wave driver."""

@@ -6,20 +6,20 @@ so cumulative sums of independent per-cell increments give the sheet value
 exactly AT the midpoints (a pure fixed-jump sheet bins Poisson uniform
 points onto it, and keeps its counts per block of occupied rows and
 columns; every other sheet keeps its values on one block per cell).
+GridField tabulates a scalar field on the lattice nodes, looks it up at a
+node and writes it as CSV.
 Quadrature over theta fields elsewhere uses the uniform midpoint-rule
 weight 1/M; the two weight systems are intentionally distinct.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, NodeNotOnLattice, OutOfRange
+from .errors import NodeNotOnLattice, OutOfRange
 from .levy import Deterministic, GaussianJump, LevyModel, TwoPoint
 
 __all__ = [
@@ -61,10 +61,6 @@ class Lattice:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise OutOfRange(f"lattice size m={self.m} must be a positive integer")
-
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.m
 
     def midpoints(self) -> np.ndarray:
         return (np.arange(1, self.m + 1) - 0.5) / self.m
@@ -144,43 +140,6 @@ class GridField:
             fh.write(f"# sheetforge gridfield v1 {pairs}\n")
             fh.writelines(",".join(map(repr, row)) + "\n" for row in self.values.tolist())
 
-    @classmethod
-    def from_csv(cls, path) -> "GridField":
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.startswith("# sheetforge gridfield v1"):
-                raise ConfigError("not a sheetforge gridfield CSV")
-            meta = {}
-            for tok in header.split()[4:]:
-                k, _, v = tok.partition("=")
-                meta[k] = v
-            rows = [
-                [float(x) for x in line.strip().split(",")] for line in fh if line.strip()
-            ]
-        m = int(meta.pop("m"))
-        node_kind = meta.pop("node_kind", "midpoint")
-        return cls(Lattice(m), np.array(rows), node_kind=node_kind, meta=meta)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": "sheetforge/gridfield/1",
-            "m": self.lattice.m,
-            "node_kind": self.node_kind,
-            "meta": self.meta,
-            "values": self.values.tolist(),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GridField":
-        if obj.get("schema") != "sheetforge/gridfield/1":
-            raise ConfigError("not a sheetforge gridfield JSON object")
-        return cls(
-            Lattice(int(obj["m"])),
-            np.array(obj["values"], dtype=float),
-            node_kind=obj.get("node_kind", "midpoint"),
-            meta=dict(obj.get("meta", {})),
-        )
-
 
 @dataclass
 class SheetSample:
@@ -193,22 +152,15 @@ class SheetSample:
     jumps at a positive rate) the sheet is h * N with N a Poisson count
     sheet, constant on the blocks the occupied cells cut out of each axis:
     blocks holds N there (int64). Every other sheet has unit blocks, one per
-    cell (block_ends 1..M on both axes), holding its float64 values. field,
-    the values on the M x M cells, is built when first read."""
+    cell (block_ends 1..M on both axes), holding its float64 values.
+    Consumers transform the blocks, then spread the result over the cells
+    with on_cells or sum their quadrature rows per block."""
 
     model: LevyModel
     n: float
     seed: int
     blocks: np.ndarray
     block_ends: Tuple[np.ndarray, np.ndarray]
-
-    @cached_property
-    def field(self) -> GridField:
-        per_block = self.blocks
-        if per_block.dtype == np.int64:
-            per_block = _jump_values(self.model.jump_dist.h, per_block)
-        values = self.on_cells(per_block)
-        return GridField(Lattice(len(values)), values, meta={"n": self.n, "seed": self.seed})
 
     def on_cells(self, per_block: np.ndarray) -> np.ndarray:
         """Values given per block, spread over the M x M cells."""
@@ -246,16 +198,6 @@ def sample_increments(model: LevyModel, areas: np.ndarray, rng: np.random.Genera
             )
         else:  # pragma: no cover - union is closed
             raise OutOfRange(f"unsupported jump_dist {type(jd).__name__}")
-    return out
-
-
-def _jump_values(h: float, counts: np.ndarray) -> np.ndarray:
-    """h * counts, the sheet values of a fixed-jump count sheet, with +0.0
-    where the count is 0 (h * 0 is -0.0 for h < 0, and sin keeps the sign
-    of a zero)."""
-    out = h * counts
-    if h < 0.0:
-        out += 0.0
     return out
 
 

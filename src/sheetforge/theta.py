@@ -15,12 +15,12 @@ uniform weight 1/M per axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateAngle, OutOfRange
+from .errors import DegenerateAngle, OutOfRange
 from .levy import (
     Deterministic,
     LevyModel,
@@ -28,7 +28,7 @@ from .levy import (
     normalizing_constant,
     unit_jump_poisson,
 )
-from .sheet import GridField, Lattice, SheetSample, _jump_values, simulate_sheet
+from .sheet import GridField, Lattice, SheetSample, simulate_sheet
 
 __all__ = [
     "ThetaSpec",
@@ -37,10 +37,8 @@ __all__ = [
     "levy_cos",
     "levy_sin",
     "realize_theta",
-    "realize_theta_pair",
     "integrate_field",
     "theta_values_from_sheet",
-    "theta_spec_from_json_obj",
 ]
 
 _KINDS = ("KacStroock", "LevyCos", "LevySin")
@@ -104,29 +102,6 @@ class ThetaSpec:
         return obj
 
 
-def theta_spec_from_json_obj(obj: dict) -> ThetaSpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("theta spec must be an object with a 'kind' field")
-    allowed = {"kind", "n", "model", "angle", "m_guard"}
-    extra = set(obj) - allowed
-    if extra:
-        raise ConfigError(f"unknown theta spec fields: {sorted(extra)}")
-    try:
-        model = LevyModel.from_json_obj(obj["model"])
-        kind = obj["kind"]
-        if kind == "KacStroock":
-            return ThetaSpec(kind=kind, n=float(obj["n"]), model=model)
-        return ThetaSpec(
-            kind=kind,
-            n=float(obj["n"]),
-            model=model,
-            angle=float(obj["angle"]),
-            m_guard=int(obj["m_guard"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"theta spec missing field {exc}") from exc
-
-
 def kac_stroock(n: float, rate: float = 1.0) -> ThetaSpec:
     """Parity kernel spec. rate=0 is the deterministic diagnostic mode
     (count sheet identically zero, so theta = n sqrt(xy) exactly)."""
@@ -152,28 +127,33 @@ class ThetaField:
     field: GridField
     spec: ThetaSpec
     seed: int
-    coupled_tag: Optional[Tuple[int, str]] = dc_field(default=None)
 
     @property
     def values(self) -> np.ndarray:
         return self.field.values
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.field.lattice
 
 
 _PARITY = np.array([1.0, -1.0])
 _PARITY.setflags(write=False)
 
 
+def _jump_values(h: float, counts: np.ndarray) -> np.ndarray:
+    """h * counts, the sheet values of a fixed-jump count sheet, with +0.0
+    where the count is 0 (h * 0 is -0.0 for h < 0, and sin keeps the sign
+    of a zero)."""
+    out = h * counts
+    if h < 0.0:
+        out += 0.0
+    return out
+
+
 def theta_values_from_sheet(spec: ThetaSpec, sheet: SheetSample) -> np.ndarray:
     """f(L) = (-1)^L, cos(angle L) or sin(angle L) on the sheet's blocks,
     without the envelope: theta = n K sqrt(xy) f(L). Float blocks (values
     L) are transformed elementwise. int64 blocks (counts N, L = h N) take a
-    per-count table of f gathered by N while the table is no longer than
-    the blocks, and the elementwise transform of h N past that. The bytes
-    are those of the elementwise transform."""
+    per-count table of f gathered by N, with the bytes of the elementwise
+    transform. The table holds T + 1 floats for T points, where the draw
+    has already made 2 T uniforms and 2 T bins."""
     blocks = sheet.blocks
     counts = blocks.dtype == np.int64
     if spec.kind == "KacStroock":
@@ -184,58 +164,22 @@ def theta_values_from_sheet(spec: ThetaSpec, sheet: SheetSample) -> np.ndarray:
     wave_of = np.cos if spec.kind == "LevyCos" else np.sin
     if not counts:
         return wave_of(spec.angle * blocks)
-    h, total = sheet.model.jump_dist.h, blocks[-1, -1]
-    # the corner holds the largest count (prefix sums); a longer table costs more
-    if total >= blocks.size:
-        return wave_of(spec.angle * _jump_values(h, blocks))
-    return wave_of(spec.angle * _jump_values(h, np.arange(total + 1)))[blocks]
-
-
-def _theta_field(spec: ThetaSpec, sheet: SheetSample, lattice: Lattice, meta: dict) -> GridField:
-    """theta = n K sqrt(xy) f(L) on the lattice midpoints."""
-    wave = sheet.on_cells(theta_values_from_sheet(spec, sheet))
-    x = lattice.midpoints()
-    values = spec.n * spec.normalizer() * np.sqrt(np.outer(x, x)) * wave
-    return GridField(lattice, values, node_kind="midpoint", meta=meta)
-
-
-def _check_coupled_pair(cos_spec: ThetaSpec, sin_spec: ThetaSpec) -> None:
-    """A coupled pair is (LevyCos, LevySin) specs that agree on everything
-    but the kind, so one sheet draw serves both."""
-    if cos_spec.kind != "LevyCos" or sin_spec.kind != "LevySin":
-        raise OutOfRange("need (LevyCos, LevySin) specs")
-    if (
-        cos_spec.model != sin_spec.model
-        or cos_spec.n != sin_spec.n
-        or cos_spec.angle != sin_spec.angle
-        or cos_spec.m_guard != sin_spec.m_guard
-    ):
-        raise OutOfRange("paired specs must share model, n, angle and m_guard")
+    # the corner holds the largest count (prefix sums)
+    table = _jump_values(sheet.model.jump_dist.h, np.arange(blocks[-1, -1] + 1))
+    return wave_of(spec.angle * table)[blocks]
 
 
 def realize_theta(spec: ThetaSpec, lattice: Lattice, seed: int) -> ThetaField:
-    """One random-kernel realization from one Lévy-sheet draw evaluated
-    exactly at the scaled midpoints."""
+    """One random-kernel realization, theta = n K sqrt(xy) f(L) on the
+    lattice midpoints, from one Lévy-sheet draw evaluated exactly at the
+    scaled midpoints."""
     sheet = simulate_sheet(spec.model, spec.n, lattice, seed)
-    gf = _theta_field(spec, sheet, lattice, {"theta_kind": spec.kind, "seed": seed})
+    wave = sheet.on_cells(theta_values_from_sheet(spec, sheet))
+    x = lattice.midpoints()
+    values = spec.n * spec.normalizer() * np.sqrt(np.outer(x, x)) * wave
+    gf = GridField(lattice, values, node_kind="midpoint",
+                   meta={"theta_kind": spec.kind, "seed": seed})
     return ThetaField(field=gf, spec=spec, seed=seed)
-
-
-def realize_theta_pair(
-    cos_spec: ThetaSpec, sin_spec: ThetaSpec, lattice: Lattice, seed: int
-) -> Tuple[ThetaField, ThetaField]:
-    """Coupled LevyCos/LevySin realizations built from the SAME sheet draw
-    (the cos and sin of one driving Lévy sheet). Both specs must agree on
-    everything but the kind."""
-    _check_coupled_pair(cos_spec, sin_spec)
-    sheet = simulate_sheet(cos_spec.model, cos_spec.n, lattice, seed)
-    tag_c = (seed, "pair")
-    out = []
-    for spec in (cos_spec, sin_spec):
-        gf = _theta_field(spec, sheet, lattice,
-                          {"theta_kind": spec.kind, "seed": seed, "coupled": True})
-        out.append(ThetaField(field=gf, spec=spec, seed=seed, coupled_tag=tag_c))
-    return out[0], out[1]
 
 
 def integrate_field(theta: ThetaField | GridField) -> GridField:

@@ -1,13 +1,11 @@
 """Approximating field construction: GEMM against the triple-loop oracle,
-identities, windowed fields, and serialization."""
+identities, windowed-field rows, and serialization."""
 import json
-import math
 
 import numpy as np
 import pytest
 
 from sheetforge import (
-    ApproxField,
     EvalGrid,
     FbmVolterra,
     Goursat,
@@ -20,13 +18,12 @@ from sheetforge import (
     PointNotOnEvalGrid,
     ThetaField,
     build_approximation,
-    build_window_field,
     integrate_field,
     kac_stroock,
     mix64,
     quadrature_rows,
     realize_theta,
-    unit_jump_poisson,
+    window_quadrature_rows,
 )
 
 from triple_loop import triple_loop_field
@@ -136,29 +133,31 @@ def test_indicator_kernels_reproduce_integrated_field():
 # -- windowed auxiliary field --------------------------------------------------
 
 
+def _window_field(vals, k1, k2, s, s2, t, t2, windows):
+    """Y_n on windows x windows: the difference-kernel rows of both axes
+    around the midpoint values."""
+    m = vals.shape[0]
+    a = window_quadrature_rows(k1, m, s, s2, windows)
+    b = window_quadrature_rows(k2, m, t, t2, windows)
+    return a @ vals @ b.T
+
+
 def test_window_field_reproduces_rectangle_increment():
     rng = np.random.default_rng(13)
-    theta = _fake_theta(rng.standard_normal((24, 24)))
+    vals = rng.standard_normal((24, 24))
     k1, k2 = FbmVolterra(0.65), FbmVolterra(0.45)
     s, s2, t, t2 = 0.25, 0.7, 0.4, 0.9
     grid = EvalGrid.square((0.25, 0.4, 0.7, 0.9))  # holds all four corners
-    x = build_approximation(theta, k1, k2, grid)
-    y = build_window_field(theta, k1, k2, s, s2, t, t2, EvalGrid.square((1.0,)))
+    x = build_approximation(_fake_theta(vals), k1, k2, grid)
+    [[y]] = _window_field(vals, k1, k2, s, s2, t, t2, (1.0,))
     expect = x.rect_increment(s, t, s2, t2)
-    assert y.value_at(1.0, 1.0) == pytest.approx(expect, rel=1e-10, abs=1e-12)
-    assert y.meta["window_rect"] == [s, s2, t, t2]
+    assert y == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
 
 def test_window_field_vanishes_for_empty_rectangle():
-    theta = _fake_theta(np.random.default_rng(2).standard_normal((8, 8)))
-    y = build_window_field(
-        theta, Indicator(), Indicator(), 0.5, 0.5, 0.2, 0.8,
-        EvalGrid.square((0.5, 1.0)),
-    )
-    np.testing.assert_array_equal(y.values, np.zeros((2, 2)))
-    with pytest.raises(OutOfRange):
-        build_window_field(theta, Indicator(), Indicator(), 0.6, 0.4, 0.2, 0.8,
-                           EvalGrid.square((1.0,)))
+    vals = np.random.default_rng(2).standard_normal((8, 8))
+    y = _window_field(vals, Indicator(), Indicator(), 0.5, 0.5, 0.2, 0.8, (0.5, 1.0))
+    np.testing.assert_array_equal(y, np.zeros((2, 2)))
 
 
 def test_window_field_partial_kernel_support():
@@ -166,15 +165,13 @@ def test_window_field_partial_kernel_support():
     Y(w1, w2) integrates theta over ((s, s2] x (t, t2]) clipped at (w1, w2)."""
     m = 8
     vals = np.random.default_rng(3).standard_normal((m, m))
-    theta = _fake_theta(vals)
     s, s2, t, t2 = 0.25, 0.75, 0.0, 0.5
-    y = build_window_field(theta, Indicator(), Indicator(), s, s2, t, t2,
-                           EvalGrid.square((0.5, 1.0)))
+    y = _window_field(vals, Indicator(), Indicator(), s, s2, t, t2, (0.5, 1.0))
     mids = Lattice(m).midpoints()
     sel_s_half = (mids > s) & (mids < min(s2, 0.5))
     sel_t_half = (mids > t) & (mids < min(t2, 0.5))
     expect_half = vals[np.ix_(sel_s_half, sel_t_half)].sum() / (m * m)
-    assert y.value_at(0.5, 0.5) == pytest.approx(expect_half, rel=1e-12)
+    assert y[0, 0] == pytest.approx(expect_half, rel=1e-12)
 
 
 # -- quadrature row cache ------------------------------------------------------
@@ -214,14 +211,15 @@ def test_approx_field_json_round_trip(tmp_path):
     x = build_approximation(theta, FbmVolterra(0.6), Indicator(), grid)
     path = tmp_path / "field.json"
     x.to_json(path)
-    y = ApproxField.from_json(path)
-    assert y.grid == x.grid
-    assert y.k1 == x.k1 and y.k2 == x.k2
-    assert y.lattice_m == x.lattice_m and y.seed == x.seed
-    assert y.theta_spec_json == x.theta_spec_json
-    np.testing.assert_array_equal(y.values, x.values)
-    with pytest.raises(OutOfRange):
-        ApproxField.from_json_obj({"schema": "nope"})
+    obj = json.loads(path.read_text())
+    assert obj == x.to_json_obj()
+    assert obj["schema"] == "sheetforge/approxfield/1"
+    assert obj["grid"] == {"s_points": [0.25, 0.5, 1.0], "t_points": [0.25, 0.5, 1.0]}
+    prov = obj["provenance"]
+    assert prov["k1"] == {"alpha": 0.6, "kind": "fbm_volterra"}
+    assert prov["lattice_m"] == 8 and prov["seed"] == 4
+    assert prov["theta_spec"] == kac_stroock(25.0).to_json_obj()
+    assert np.array(obj["values"]).tobytes() == x.values.tobytes()
 
 
 def test_approx_field_csv_contains_provenance(tmp_path):

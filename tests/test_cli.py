@@ -16,18 +16,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sheetforge import (
     ConfigError,
-    GridField,
+    Lattice,
     StepFunction,
     WindowScalingSettings,
     apply_overrides,
     config_from_json_obj,
     load_config,
+    kac_stroock,
     loads_config,
+    mix64,
     preset,
+    realize_theta,
 )
 from sheetforge.cli import main, run
 from sheetforge.config import PRESET_NAMES
@@ -207,8 +211,11 @@ def test_simulate_writes_fields_and_provenance(tmp_path, capsys):
     for name in expected:
         assert (out / name).exists()
 
-    theta = GridField.from_csv(out / "theta_field.csv")
-    assert theta.values.shape == (16, 16)
+    # the theta field of replicate 0 at the final n, every float exact
+    seed = preset("brownian-baseline")["master_seed"]
+    want = realize_theta(kac_stroock(4.0), Lattice(16), mix64(seed, 0)).values
+    theta = np.loadtxt(out / "theta_field.csv", skiprows=1, delimiter=",")
+    assert theta.shape == (16, 16) and theta.tobytes() == want.tobytes()
 
     prov = _provenance(out)
     assert prov["schema"] == "sheetforge/provenance/1"

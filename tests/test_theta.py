@@ -1,12 +1,10 @@
-"""Random-kernel fields: parity and wave kinds, coupling, integration."""
-import json
+"""Random-kernel fields: parity and wave kinds, integration."""
 import math
 
 import numpy as np
 import pytest
 
 from sheetforge import (
-    ConfigError,
     DegenerateAngle,
     Deterministic,
     Lattice,
@@ -20,15 +18,14 @@ from sheetforge import (
     levy_sin,
     mix64,
     realize_theta,
-    realize_theta_pair,
     simulate_sheet,
-    theta_spec_from_json_obj,
     theta_values_from_sheet,
     unit_jump_poisson,
 )
 
 from triple_loop import reference_theta as _reference_theta
 from triple_loop import reference_wave as _reference_wave
+from triple_loop import sheet_field
 
 ROOT2 = math.sqrt(2.0)
 
@@ -142,19 +139,18 @@ def _check_count_sheet_theta(sheet, lat, seed):
     """A count sheet's transform on its blocks, spread over the cells, and
     realize_theta's field both have the bytes of the elementwise reference.
     The counts alone give them: a copy whose blocks are the M x M counts
-    gives the same bytes without building its field."""
+    gives the same bytes."""
     m = lat.m
     blind = _frozen_sheet(sheet.model, sheet.on_cells(sheet.blocks))
     assert blind.blocks.shape == (m, m) and blind.blocks.dtype == np.int64
     for spec in _specs_for(sheet.model, sheet.n):
         wave = theta_values_from_sheet(spec, sheet)
         assert wave.shape == sheet.blocks.shape
-        want = _reference_wave(spec, sheet.field.values)
+        want = _reference_wave(spec, sheet_field(sheet).values)
         assert _same_bytes(sheet.on_cells(wave), want), spec.kind
         assert _same_bytes(theta_values_from_sheet(spec, blind), want), spec.kind
         theta = realize_theta(spec, lat, seed)
-        assert _same_bytes(theta.values, _reference_theta(spec, sheet.field.values, lat))
-    assert "field" not in vars(blind)
+        assert _same_bytes(theta.values, _reference_theta(spec, sheet_field(sheet).values, lat))
 
 
 @pytest.mark.parametrize("m, n", [(7, 40.0), (64, 400.0)])
@@ -174,8 +170,8 @@ def test_lattice_sheets_take_the_count_table_byte_identically(h, m, n):
 
 @pytest.mark.parametrize("h", [1.0, -1.0, 0.1])
 def test_count_sheets_past_the_table_size_take_the_elementwise_path(h):
-    """A largest count of the block count or more skips the table: f is
-    then taken elementwise on the blocks, with the same bytes."""
+    """A largest count of the block count or more: the table is longer
+    than the blocks, and its gathered f keeps the elementwise bytes."""
     lat = Lattice(7)
     sheet = simulate_sheet(_fixed_jump(h), 400.0, lat, seed=3)
     assert sheet.blocks.max() >= sheet.blocks.size
@@ -193,10 +189,10 @@ def test_sheets_without_counts_take_the_elementwise_path():
         assert sheet.blocks.dtype == np.float64 and sheet.blocks.shape == (16, 16)
         assert all(np.array_equal(ends, cells) for ends in sheet.block_ends)
         for spec in _specs_for(model, 100.0):
-            want = _reference_wave(spec, sheet.field.values)
+            want = _reference_wave(spec, sheet_field(sheet).values)
             assert _same_bytes(theta_values_from_sheet(spec, sheet), want), spec.kind
             theta = realize_theta(spec, lat, seed=5)
-            assert _same_bytes(theta.values, _reference_theta(spec, sheet.field.values, lat))
+            assert _same_bytes(theta.values, _reference_theta(spec, sheet_field(sheet).values, lat))
 
 
 def test_wave_envelope_bound_holds_pointwise():
@@ -215,30 +211,6 @@ def test_realization_determinism():
     np.testing.assert_array_equal(a.values, b.values)
     c = realize_theta(spec, lat, seed=6)
     assert not np.array_equal(a.values, c.values)
-
-
-def test_coupled_pair_shares_one_sheet():
-    """cos^2 + sin^2 = 1 at every node forces both fields to come from the
-    same driving sheet."""
-    lat = Lattice(16)
-    spec_c = levy_cos(unit_jump_poisson(), 100.0, 1.0)
-    spec_s = levy_sin(unit_jump_poisson(), 100.0, 1.0)
-    fc, fs = realize_theta_pair(spec_c, spec_s, lat, seed=21)
-    assert fc.coupled_tag == fs.coupled_tag == (21, "pair")
-    env = spec_c.normalizer() * _envelope(100.0, lat)
-    total = (fc.values / env) ** 2 + (fs.values / env) ** 2
-    np.testing.assert_allclose(total, np.ones((16, 16)), rtol=0, atol=1e-12)
-
-
-def test_coupled_pair_validates_specs():
-    lat = Lattice(4)
-    c1 = levy_cos(unit_jump_poisson(), 100.0, 1.0)
-    s1 = levy_sin(unit_jump_poisson(), 100.0, 1.0)
-    s2 = levy_sin(unit_jump_poisson(), 100.0, 1.5)
-    with pytest.raises(OutOfRange):
-        realize_theta_pair(s1, c1, lat, seed=0)
-    with pytest.raises(OutOfRange):
-        realize_theta_pair(c1, s2, lat, seed=0)
 
 
 # -- integration ---------------------------------------------------------------
@@ -277,27 +249,3 @@ def test_parity_primitive_variance_near_product():
     # and the field is centered: mean within 5 SE of zero
     se_mean = vals.std(ddof=1) / math.sqrt(r)
     assert abs(vals.mean()) <= 5.0 * se_mean
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def test_theta_spec_json_round_trip():
-    specs = (
-        kac_stroock(100.0),
-        kac_stroock(25.0, rate=0.5),
-        levy_cos(unit_jump_poisson(), 400.0, 1.0, m_guard=4),
-        levy_sin(unit_jump_poisson(0.8), 50.0, 2.2),
-    )
-    for spec in specs:
-        blob = json.dumps(spec.to_json_obj())
-        assert theta_spec_from_json_obj(json.loads(blob)) == spec
-
-
-def test_theta_spec_json_rejects_unknown_fields():
-    obj = kac_stroock(100.0).to_json_obj()
-    obj["wiggle"] = True
-    with pytest.raises(ConfigError):
-        theta_spec_from_json_obj(obj)
-    with pytest.raises(ConfigError):
-        theta_spec_from_json_obj({"kind": "LevyCos"})

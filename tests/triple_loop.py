@@ -1,4 +1,5 @@
-"""Reference oracles for the approximating field: the kernel field
+"""Reference oracles for the approximating field: the sheet values on
+the M x M cells, the kernel field
 
     Theta[i, j] = n K sqrt(x_i y_j) f(L(x_i, y_j))
 
@@ -11,7 +12,18 @@ one term at a time, against which the library's two dense matrix products
 are checked."""
 import numpy as np
 
-from sheetforge import quadrature_rows
+from sheetforge import GridField, Lattice, quadrature_rows
+from sheetforge.theta import _jump_values
+
+
+def sheet_field(sheet) -> GridField:
+    """The sheet values L on the M x M cells as a midpoint field: h N for a
+    count sheet (+0.0 where N = 0), the float blocks otherwise."""
+    per_block = sheet.blocks
+    if per_block.dtype == np.int64:
+        per_block = _jump_values(sheet.model.jump_dist.h, per_block)
+    values = sheet.on_cells(per_block)
+    return GridField(Lattice(len(values)), values, meta={"n": sheet.n, "seed": sheet.seed})
 
 
 def reference_wave(spec, sheet_values) -> np.ndarray:
@@ -36,7 +48,7 @@ def triple_loop_field(theta, k1, k2, grid) -> np.ndarray:
     """X_n on the grid from the same quadrature rows as build_approximation,
     summed by explicit loops over the lattice."""
     vals = theta.values
-    m = theta.lattice.m
+    m = theta.field.lattice.m
     a = quadrature_rows(k1, m, grid.s_points)
     b = quadrature_rows(k2, m, grid.t_points)
     x = np.empty((len(grid.s_points), len(grid.t_points)))
