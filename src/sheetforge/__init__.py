@@ -8,186 +8,25 @@ which a pair of deterministic Volterra-type kernels turns into the
 approximating field (`build_approximation`); the harness compares its
 statistics against the factorized limit covariance.
 """
-from .approx import (
-    ApproxField,
-    EvalGrid,
-    build_approximation,
-    quadrature_rows,
-    window_quadrature_rows,
-)
-from .config import (
-    KNOWN_PROBES,
-    PRESET_NAMES,
-    ExperimentConfig,
-    WindowScalingSettings,
-    apply_overrides,
-    config_from_json_obj,
-    load_config,
-    loads_config,
-    preset,
-)
-from .errors import (
-    ConfigError,
-    DegenerateAngle,
-    InsufficientReplicates,
-    NodeNotOnLattice,
-    OutOfRange,
-    PointNotOnEvalGrid,
-    ProfileViolation,
-    QuadratureFailure,
-    SheetForgeError,
-    UncoupledInputs,
-)
-from .harness import (
-    BilinearProbeReport,
-    CovarianceReport,
-    GaussianityReport,
-    IndependenceReport,
-    MomentEstimate,
-    ReplicateSet,
-    StepFunction,
-    WindowScalingReport,
-    axis_inner_product,
-    bilinear_moment_probe,
-    default_zero_mean,
-    empirical_covariance,
-    gaussianity_test,
-    generate_coupled_replicates,
-    generate_replicates,
-    grid_points,
-    independence_probe,
-    theoretical_covariance,
-    window_scaling_probe,
-)
-from .kernels import (
-    FbmVolterra,
-    Goursat,
-    GrowthFunction,
-    HolmgrenRL,
-    Indicator,
-    IncrementProfile,
-    LipschitzDiff,
-    ProfileReport,
-    check_profile,
-    default_profile,
-    eval_kernel,
-    fit_window_profile,
-    increment_l2,
-    kernel_from_json_obj,
-    kernel_matrix,
-    kernel_row,
-    l2_quadrature_nodes,
-    volterra_constant,
-    windowed_increment_l2,
-)
-from .levy import (
-    Deterministic,
-    GaussianJump,
-    LevyModel,
-    TwoPoint,
-    check_angle,
-    exponent,
-    min_real_exponent,
-    normalizing_constant,
-    unit_jump_poisson,
-)
-from .sheet import GridField, Lattice, SheetSample, mix64, simulate_sheet
-from .theta import (
-    ThetaField,
-    ThetaSpec,
-    integrate_field,
-    kac_stroock,
-    levy_cos,
-    levy_sin,
-    realize_theta,
-    theta_values_from_sheet,
-)
+from . import approx, config, errors, harness, kernels, levy, sheet, theta
+from .approx import *
+from .config import *
+from .errors import *
+from .harness import *
+from .kernels import *
+from .levy import *
+from .sheet import *
+from .theta import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxField",
-    "EvalGrid",
-    "build_approximation",
-    "quadrature_rows",
-    "window_quadrature_rows",
-    "SheetForgeError",
-    "OutOfRange",
-    "DegenerateAngle",
-    "NodeNotOnLattice",
-    "PointNotOnEvalGrid",
-    "QuadratureFailure",
-    "ProfileViolation",
-    "InsufficientReplicates",
-    "UncoupledInputs",
-    "ConfigError",
-    "MomentEstimate",
-    "CovarianceReport",
-    "ReplicateSet",
-    "StepFunction",
-    "grid_points",
-    "theoretical_covariance",
-    "axis_inner_product",
-    "empirical_covariance",
-    "default_zero_mean",
-    "generate_replicates",
-    "generate_coupled_replicates",
-    "bilinear_moment_probe",
-    "window_scaling_probe",
-    "gaussianity_test",
-    "independence_probe",
-    "BilinearProbeReport",
-    "GaussianityReport",
-    "IndependenceReport",
-    "WindowScalingReport",
-    "FbmVolterra",
-    "Indicator",
-    "HolmgrenRL",
-    "Goursat",
-    "LipschitzDiff",
-    "IncrementProfile",
-    "GrowthFunction",
-    "ProfileReport",
-    "volterra_constant",
-    "eval_kernel",
-    "kernel_row",
-    "kernel_matrix",
-    "kernel_from_json_obj",
-    "l2_quadrature_nodes",
-    "increment_l2",
-    "windowed_increment_l2",
-    "default_profile",
-    "fit_window_profile",
-    "check_profile",
-    "LevyModel",
-    "Deterministic",
-    "TwoPoint",
-    "GaussianJump",
-    "unit_jump_poisson",
-    "exponent",
-    "normalizing_constant",
-    "min_real_exponent",
-    "check_angle",
-    "Lattice",
-    "GridField",
-    "SheetSample",
-    "simulate_sheet",
-    "mix64",
-    "ThetaSpec",
-    "ThetaField",
-    "kac_stroock",
-    "levy_cos",
-    "levy_sin",
-    "realize_theta",
-    "theta_values_from_sheet",
-    "integrate_field",
-    "ExperimentConfig",
-    "WindowScalingSettings",
-    "KNOWN_PROBES",
-    "PRESET_NAMES",
-    "apply_overrides",
-    "config_from_json_obj",
-    "load_config",
-    "loads_config",
-    "preset",
+    *approx.__all__,
+    *config.__all__,
+    *errors.__all__,
+    *harness.__all__,
+    *kernels.__all__,
+    *levy.__all__,
+    *sheet.__all__,
+    *theta.__all__,
 ]

@@ -28,6 +28,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OutOfRange, PointNotOnEvalGrid
+from .jsonio import JsonObject
 from .kernels import KernelSpec, kernel_matrix, kernel_row
 from .sheet import Lattice
 from .theta import ThetaField
@@ -44,7 +45,7 @@ _COORD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class EvalGrid:
+class EvalGrid(JsonObject):
     """Evaluation points for the approximating field; not necessarily
     lattice-aligned."""
 
@@ -68,9 +69,6 @@ class EvalGrid:
     def square(cls, points: Sequence[float]) -> "EvalGrid":
         pts = tuple(points)
         return cls(pts, pts)
-
-    def to_json_obj(self) -> dict:
-        return {"s_points": list(self.s_points), "t_points": list(self.t_points)}
 
 
 def _find_point(points: Tuple[float, ...], value: float, axis: str) -> int:
@@ -125,6 +123,7 @@ class ApproxField:
             "theta_spec": self.theta_spec_json,
         }
 
+    # hand-written: the JSON form nests the kernels, lattice and seed under "provenance"
     def to_json_obj(self) -> dict:
         return {
             "schema": "sheetforge/approxfield/1",

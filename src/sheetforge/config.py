@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Collection, Optional, Sequence, Tuple
 
 from .approx import EvalGrid
 from .errors import ConfigError, SheetForgeError
 from .harness import StepFunction
+from .jsonio import JsonObject, field_names
 from .kernels import KernelSpec, kernel_from_json_obj
 from .levy import LevyModel
 from .theta import ThetaSpec
@@ -27,6 +28,8 @@ __all__ = [
     "apply_overrides",
     "preset",
     "PRESET_NAMES",
+    "KNOWN_PROBES",
+    "config_from_json_obj",
 ]
 
 SCHEMA_VERSION = 1
@@ -49,8 +52,6 @@ _TOP_FIELDS = {
 }
 
 _THETA_FIELDS = {"kind", "model", "angle", "m_guard"}
-_GRID_FIELDS = {"s_points", "t_points"}
-_WINDOW_FIELDS = {"m_order", "base_rect", "windows", "gamma"}
 
 KNOWN_PROBES = (
     "covariance",
@@ -63,19 +64,11 @@ KNOWN_PROBES = (
 
 
 @dataclass(frozen=True)
-class WindowScalingSettings:
+class WindowScalingSettings(JsonObject):
     m_order: int
     base_rect: Tuple[float, float, float, float]
     windows: Tuple[Tuple[float, float, float, float], ...]
     gamma: Optional[float] = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "m_order": self.m_order,
-            "base_rect": list(self.base_rect),
-            "windows": [list(w) for w in self.windows],
-            "gamma": self.gamma,
-        }
 
 
 @dataclass(frozen=True)
@@ -128,6 +121,7 @@ class ExperimentConfig:
             m_guard=self.m_guard,
         )
 
+    # hand-written: the JSON form nests the theta fields under "theta" and renames k1, k2
     def to_json_obj(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
@@ -166,10 +160,10 @@ def _require(obj: dict, key: str, where: str):
     return _no_bools(obj[key], f"{where}.{key}")  # no field read here takes a bool
 
 
-def _check_fields(obj: dict, allowed: set, where: str) -> None:
+def _check_fields(obj: dict, allowed: Collection[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    extra = set(obj) - allowed
+    extra = set(obj).difference(allowed)
     if extra:
         raise ConfigError(f"unknown fields in {where}: {sorted(extra)}")
 
@@ -233,10 +227,10 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
     k1 = _component(kernel_from_json_obj, "config.kernel1", _require(obj, "kernel1", "config"))
     k2 = _component(kernel_from_json_obj, "config.kernel2", _require(obj, "kernel2", "config"))
     gobj = _require(obj, "eval_grid", "config")
-    _check_fields(gobj, _GRID_FIELDS, "config.eval_grid")
+    _check_fields(gobj, field_names(EvalGrid), "config.eval_grid")
     grid = _component(EvalGrid, "config.eval_grid", *(
         _reals(_require(gobj, axis, "config.eval_grid"), f"config.eval_grid.{axis}")
-        for axis in ("s_points", "t_points")
+        for axis in field_names(EvalGrid)
     ))
     angle = tobj.get("angle")
     m_guard = tobj.get("m_guard")
@@ -252,14 +246,14 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
             raise ConfigError(f"bilinear_pairs[{i}] must be a [f, g] pair")
         fg, where = [], f"bilinear_pairs[{i}]"
         for side in pair:
-            _check_fields(side, {"breaks", "values"}, where)
-            fg.append(_component(StepFunction, where, _require(side, "breaks", where),
-                                 _require(side, "values", where)))
+            _check_fields(side, field_names(StepFunction), where)
+            fg.append(_component(StepFunction, where, *(
+                _require(side, name, where) for name in field_names(StepFunction))))
         pairs.append((fg[0], fg[1]))
     wobj = obj.get("window_scaling")
     window = None
     if wobj is not None:
-        _check_fields(wobj, _WINDOW_FIELDS, "config.window_scaling")
+        _check_fields(wobj, field_names(WindowScalingSettings), "config.window_scaling")
         where = "config.window_scaling"
         windows = _require(wobj, "windows", where)
         if not isinstance(windows, (list, tuple)):

@@ -4,6 +4,19 @@ Every error raised deliberately by this package derives from SheetForgeError,
 so callers (and the CLI) can distinguish domain failures from genuine bugs.
 """
 
+__all__ = [
+    "SheetForgeError",
+    "OutOfRange",
+    "DegenerateAngle",
+    "NodeNotOnLattice",
+    "PointNotOnEvalGrid",
+    "QuadratureFailure",
+    "ProfileViolation",
+    "InsufficientReplicates",
+    "UncoupledInputs",
+    "ConfigError",
+]
+
 
 class SheetForgeError(Exception):
     """Base class for all sheetforge domain errors."""

@@ -24,6 +24,7 @@ from .errors import (
     QuadratureFailure,
     UncoupledInputs,
 )
+from .jsonio import JsonObject
 from .kernels import (
     FbmVolterra,
     Indicator,
@@ -61,7 +62,7 @@ _PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(JsonObject):
     """A Monte Carlo estimate: value, standard error (sample sd / sqrt(R)),
     and the replicate count."""
 
@@ -76,13 +77,6 @@ class MomentEstimate:
             )
         if not (self.std_error >= 0.0):
             raise OutOfRange(f"std_error={self.std_error} must be nonnegative")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "replicates": self.replicates,
-        }
 
 
 def grid_points(grid: EvalGrid) -> Tuple[Tuple[float, float], ...]:
@@ -164,9 +158,12 @@ def _deviation_ratio(dev: np.ndarray, allow: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class CovarianceReport:
+class CovarianceReport(JsonObject):
     """Empirical vs theoretical covariance over a point set, with per-entry
     standard errors. Both matrices are symmetric by construction."""
+
+    SCHEMA = "sheetforge/covariance-report/1"
+    DERIVED = ("max_abs_deviation", "max_std_deviation")
 
     points: Tuple[Tuple[float, float], ...]
     empirical: np.ndarray
@@ -191,19 +188,6 @@ class CovarianceReport:
         """Every entry within max(se_mult * SE, floor) of theory."""
         allow = np.maximum(se_mult * self.std_errors, floor)
         return bool(np.all(np.abs(self.deviations) <= allow))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": "sheetforge/covariance-report/1",
-            "points": [list(p) for p in self.points],
-            "empirical": self.empirical.tolist(),
-            "std_errors": self.std_errors.tolist(),
-            "theoretical": self.theoretical.tolist(),
-            "replicates": self.replicates,
-            "zero_mean": self.zero_mean,
-            "max_abs_deviation": self.max_abs_deviation,
-            "max_std_deviation": self.max_std_deviation,
-        }
 
     def to_text(self) -> str:
         lines = [
@@ -411,7 +395,7 @@ def generate_coupled_replicates(
 
 
 @dataclass(frozen=True)
-class StepFunction:
+class StepFunction(JsonObject):
     """Piecewise-constant function on [0, 1]: value values[i] on
     [breaks[i], breaks[i+1]); right-continuous, f(1) = last piece."""
 
@@ -446,15 +430,14 @@ class StepFunction:
         idx = np.clip(idx, 0, len(self.values) - 1)
         return np.asarray(self.values, dtype=float)[idx]
 
-    def to_json_obj(self) -> dict:
-        return {"breaks": list(self.breaks), "values": list(self.values)}
-
 
 @dataclass
-class BilinearProbeReport:
+class BilinearProbeReport(JsonObject):
     """Estimated E[(int int f g theta)^2] against the moment-bound budget
     C * int f^2 * int g^2. bound_mode is False for the parity kernel, whose
     constant is not pinned here — the ratio is then report-only."""
+
+    SCHEMA = "sheetforge/bilinear-probe/1"
 
     ratio: MomentEstimate
     second_moment: MomentEstimate
@@ -469,17 +452,6 @@ class BilinearProbeReport:
         if not self.bound_mode:
             return False
         return self.ratio.value + se_mult * self.ratio.std_error <= 1.0
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": "sheetforge/bilinear-probe/1",
-            "ratio": self.ratio.to_json_obj(),
-            "second_moment": self.second_moment.to_json_obj(),
-            "constant": self.constant,
-            "bound_mode": self.bound_mode,
-            "f": self.f.to_json_obj(),
-            "g": self.g.to_json_obj(),
-        }
 
 
 def bilinear_moment_probe(
@@ -529,12 +501,15 @@ def bilinear_moment_probe(
 
 
 @dataclass
-class WindowScalingReport:
+class WindowScalingReport(JsonObject):
     """Fitted power law of the m-th moment of windowed-field increments
     against window area: slope, its standard error, and a 2 SE confidence
     interval. predicted_min_slope (m * gamma) is carried when the caller
     supplies gamma; heavy_tail flags any window whose moment SE exceeds half
     its value."""
+
+    SCHEMA = "sheetforge/window-scaling/1"
+    DERIVED = ("slope_ci",)
 
     m_order: int
     windows: Tuple[Tuple[float, float, float, float], ...]
@@ -548,20 +523,6 @@ class WindowScalingReport:
     @property
     def slope_ci(self) -> Tuple[float, float]:
         return (self.slope - 2.0 * self.slope_se, self.slope + 2.0 * self.slope_se)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": "sheetforge/window-scaling/1",
-            "m_order": self.m_order,
-            "windows": [list(w) for w in self.windows],
-            "areas": list(self.areas),
-            "moments": [m.to_json_obj() for m in self.moments],
-            "slope": self.slope,
-            "slope_se": self.slope_se,
-            "slope_ci": list(self.slope_ci),
-            "predicted_min_slope": self.predicted_min_slope,
-            "heavy_tail": self.heavy_tail,
-        }
 
 
 def window_scaling_probe(
@@ -644,20 +605,13 @@ def window_scaling_probe(
 
 
 @dataclass
-class GaussianityReport:
+class GaussianityReport(JsonObject):
+    SCHEMA = "sheetforge/gaussianity/1"
+
     ks_statistic: float
     p_value: float
     samples: int
     sigma2_theory: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": "sheetforge/gaussianity/1",
-            "ks_statistic": self.ks_statistic,
-            "p_value": self.p_value,
-            "samples": self.samples,
-            "sigma2_theory": self.sigma2_theory,
-        }
 
 
 def gaussianity_test(samples: np.ndarray, sigma2_theory: float) -> GaussianityReport:
@@ -683,9 +637,12 @@ def gaussianity_test(samples: np.ndarray, sigma2_theory: float) -> GaussianityRe
 
 
 @dataclass
-class IndependenceReport:
+class IndependenceReport(JsonObject):
     """Cross-covariance of the coupled cos/sin fields over all point pairs;
     the limit predicts 0 everywhere."""
+
+    SCHEMA = "sheetforge/independence/1"
+    DERIVED = ("max_std_deviation",)
 
     points_first: Tuple[Tuple[float, float], ...]
     points_second: Tuple[Tuple[float, float], ...]
@@ -699,17 +656,6 @@ class IndependenceReport:
 
     def passes(self, se_mult: float = 5.0) -> bool:
         return self.max_std_deviation <= se_mult
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": "sheetforge/independence/1",
-            "points_first": [list(p) for p in self.points_first],
-            "points_second": [list(p) for p in self.points_second],
-            "cross_covariance": self.cross_covariance.tolist(),
-            "std_errors": self.std_errors.tolist(),
-            "replicates": self.replicates,
-            "max_std_deviation": self.max_std_deviation,
-        }
 
 
 def independence_probe(

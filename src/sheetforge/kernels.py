@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union, get_args
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import ConfigError, OutOfRange, ProfileViolation, QuadratureFailure
+from .errors import OutOfRange, ProfileViolation
+from .jsonio import JsonObject, decode_kind
 from .quadrature import depth_for_power, dyadic_unit_nodes, graded_nodes
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "Goursat",
     "LipschitzDiff",
     "KernelSpec",
+    "kernel_from_json_obj",
     "volterra_constant",
     "eval_kernel",
     "kernel_row",
@@ -77,40 +79,36 @@ def volterra_constant(alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class FbmVolterra:
+class FbmVolterra(JsonObject):
+    KIND = "fbm_volterra"
     alpha: float
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise OutOfRange(f"alpha={self.alpha} must lie in (0, 1)")
 
-    def to_json_obj(self) -> dict:
-        return {"kind": "fbm_volterra", "alpha": self.alpha}
+
+@dataclass(frozen=True)
+class Indicator(JsonObject):
+    KIND = "indicator"
 
 
 @dataclass(frozen=True)
-class Indicator:
-    def to_json_obj(self) -> dict:
-        return {"kind": "indicator"}
-
-
-@dataclass(frozen=True)
-class HolmgrenRL:
+class HolmgrenRL(JsonObject):
+    KIND = "holmgren_rl"
     h: float
 
     def __post_init__(self):
         if not (0.0 < self.h < 1.0):
             raise OutOfRange(f"h={self.h} must lie in (0, 1)")
 
-    def to_json_obj(self) -> dict:
-        return {"kind": "holmgren_rl", "h": self.h}
-
 
 @dataclass(frozen=True)
-class Goursat:
+class Goursat(JsonObject):
     """K(t, r) = sum_i g_i(t) h_i(r); each factor is a polynomial given by
     ascending coefficient tuples."""
 
+    KIND = "goursat"
     terms: Tuple[Tuple[Tuple[float, ...], Tuple[float, ...]], ...]
 
     def __post_init__(self):
@@ -127,15 +125,13 @@ class Goursat:
             norm.append((g, h))
         object.__setattr__(self, "terms", tuple(norm))
 
-    def to_json_obj(self) -> dict:
-        return {"kind": "goursat", "terms": [[list(g), list(h)] for g, h in self.terms]}
-
 
 @dataclass(frozen=True)
-class LipschitzDiff:
+class LipschitzDiff(JsonObject):
     """K(t, r) = h(t - r) with h piecewise linear through (xs, ys); the table
     must cover [0, 1]."""
 
+    KIND = "lipschitz_diff"
     xs: Tuple[float, ...]
     ys: Tuple[float, ...]
 
@@ -153,44 +149,14 @@ class LipschitzDiff:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    def to_json_obj(self) -> dict:
-        return {"kind": "lipschitz_diff", "xs": list(self.xs), "ys": list(self.ys)}
-
 
 KernelSpec = Union[FbmVolterra, Indicator, HolmgrenRL, Goursat, LipschitzDiff]
 
-_KERNEL_KINDS = {
-    "fbm_volterra": lambda o: FbmVolterra(alpha=float(o["alpha"])),
-    "indicator": lambda o: Indicator(),
-    "holmgren_rl": lambda o: HolmgrenRL(h=float(o["h"])),
-    "goursat": lambda o: Goursat(
-        terms=tuple((tuple(g), tuple(h)) for g, h in o["terms"])
-    ),
-    "lipschitz_diff": lambda o: LipschitzDiff(xs=tuple(o["xs"]), ys=tuple(o["ys"])),
-}
-
-_KERNEL_FIELDS = {
-    "fbm_volterra": {"alpha"},
-    "indicator": set(),
-    "holmgren_rl": {"h"},
-    "goursat": {"terms"},
-    "lipschitz_diff": {"xs", "ys"},
-}
+KERNEL_KINDS = {cls.KIND: cls for cls in get_args(KernelSpec)}
 
 
 def kernel_from_json_obj(obj: dict) -> KernelSpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("kernel must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind not in _KERNEL_KINDS:
-        raise ConfigError(f"unknown kernel kind {kind!r}")
-    extra = set(obj) - {"kind"} - _KERNEL_FIELDS[kind]
-    if extra:
-        raise ConfigError(f"unknown kernel fields for {kind!r}: {sorted(extra)}")
-    try:
-        return _KERNEL_KINDS[kind](obj)
-    except KeyError as exc:
-        raise ConfigError(f"kernel {kind!r} missing field {exc}") from exc
+    return decode_kind(obj, KERNEL_KINDS, "kernel")
 
 
 # -- evaluation -----------------------------------------------------------
@@ -358,7 +324,7 @@ def windowed_increment_l2(
 
 
 @dataclass(frozen=True)
-class GrowthFunction:
+class GrowthFunction(JsonObject):
     """Monotone comparison function G for increment profiles: G(s) = scale * s^power."""
 
     scale: float = 1.0
@@ -371,12 +337,9 @@ class GrowthFunction:
     def __call__(self, s: float) -> float:
         return self.scale * float(s) ** self.power
 
-    def to_json_obj(self) -> dict:
-        return {"scale": self.scale, "power": self.power}
-
 
 @dataclass(frozen=True)
-class IncrementProfile:
+class IncrementProfile(JsonObject):
     """Declared growth of squared kernel increments.
 
     regime "superlinear": int (dK)^2 <= (G(s2)-G(s))^exponent with
@@ -404,15 +367,6 @@ class IncrementProfile:
                 raise OutOfRange("windowed profile needs both m_bound and beta (or neither)")
             if self.beta is not None and self.beta <= 0:
                 raise OutOfRange("windowed profile beta must be > 0")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "regime": self.regime,
-            "g": self.g.to_json_obj(),
-            "exponent": self.exponent,
-            "m_bound": self.m_bound,
-            "beta": self.beta,
-        }
 
 
 def default_profile(spec: KernelSpec) -> IncrementProfile:
@@ -472,7 +426,7 @@ def fit_window_profile(
 
 
 @dataclass
-class ProfileReport:
+class ProfileReport(JsonObject):
     """Outcome of check_profile: worst slack (bound - value, negative means
     violation before tolerance) and the pair/window achieving it."""
 
@@ -482,16 +436,6 @@ class ProfileReport:
     worst_window: Tuple[float, float] | None
     checked_pairs: int
     checked_windows: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "regime": self.regime,
-            "worst_slack": self.worst_slack,
-            "worst_pair": list(self.worst_pair),
-            "worst_window": list(self.worst_window) if self.worst_window else None,
-            "checked_pairs": self.checked_pairs,
-            "checked_windows": self.checked_windows,
-        }
 
 
 def check_profile(

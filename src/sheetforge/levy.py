@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Union, get_args
 
-from .errors import ConfigError, DegenerateAngle, OutOfRange
+from .errors import DegenerateAngle, OutOfRange
+from .jsonio import JsonObject, decode, decode_kind
 
 __all__ = [
     "Deterministic",
@@ -36,8 +37,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Deterministic:
+class Deterministic(JsonObject):
     """Every jump has the same size h (h != 0)."""
+
+    KIND = "deterministic"
 
     h: float
 
@@ -48,13 +51,12 @@ class Deterministic:
     def char_function(self, xi: float) -> complex:
         return cmath.exp(1j * xi * self.h)
 
-    def to_json_obj(self) -> dict:
-        return {"kind": "deterministic", "h": self.h}
-
 
 @dataclass(frozen=True)
-class TwoPoint:
+class TwoPoint(JsonObject):
     """Jump is h_plus with probability p, h_minus with probability 1-p."""
+
+    KIND = "two_point"
 
     h_plus: float
     h_minus: float
@@ -71,18 +73,12 @@ class TwoPoint:
             1j * xi * self.h_minus
         )
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": "two_point",
-            "h_plus": self.h_plus,
-            "h_minus": self.h_minus,
-            "p": self.p,
-        }
-
 
 @dataclass(frozen=True)
-class GaussianJump:
+class GaussianJump(JsonObject):
     """Jump sizes are Normal(mu, tau^2), tau > 0."""
+
+    KIND = "gaussian"
 
     mu: float
     tau: float
@@ -96,37 +92,18 @@ class GaussianJump:
     def char_function(self, xi: float) -> complex:
         return cmath.exp(1j * xi * self.mu - 0.5 * self.tau**2 * xi**2)
 
-    def to_json_obj(self) -> dict:
-        return {"kind": "gaussian", "mu": self.mu, "tau": self.tau}
-
 
 JumpDist = Union[Deterministic, TwoPoint, GaussianJump]
 
-_JUMP_KINDS = {
-    "deterministic": (Deterministic, ("h",)),
-    "two_point": (TwoPoint, ("h_plus", "h_minus", "p")),
-    "gaussian": (GaussianJump, ("mu", "tau")),
-}
+JUMP_KINDS = {cls.KIND: cls for cls in get_args(JumpDist)}
 
 
 def jump_dist_from_json_obj(obj: dict) -> JumpDist:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("jump_dist must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind not in _JUMP_KINDS:
-        raise ConfigError(f"unknown jump_dist kind {kind!r}")
-    cls, fields = _JUMP_KINDS[kind]
-    extra = set(obj) - {"kind"} - set(fields)
-    if extra:
-        raise ConfigError(f"unknown jump_dist fields for {kind!r}: {sorted(extra)}")
-    missing = set(fields) - set(obj)
-    if missing:
-        raise ConfigError(f"jump_dist {kind!r} missing fields: {sorted(missing)}")
-    return cls(**{f: float(obj[f]) for f in fields})
+    return decode_kind(obj, JUMP_KINDS, "jump_dist")
 
 
 @dataclass(frozen=True)
-class LevyModel:
+class LevyModel(JsonObject):
     """Diffusion coefficient, per-area drift, jump rate, and jump law.
 
     Construction validates ranges only. A model with sigma == 0 and
@@ -137,7 +114,7 @@ class LevyModel:
     sigma: float = 0.0
     drift: float = 0.0
     jump_rate: float = 0.0
-    jump_dist: JumpDist | None = None
+    jump_dist: JumpDist | None = field(default=None, metadata={"registry": JUMP_KINDS})
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
@@ -149,30 +126,9 @@ class LevyModel:
         if self.jump_rate > 0.0 and self.jump_dist is None:
             raise OutOfRange("jump_rate > 0 requires a jump_dist")
 
-    def to_json_obj(self) -> dict:
-        obj = {
-            "sigma": self.sigma,
-            "drift": self.drift,
-            "jump_rate": self.jump_rate,
-            "jump_dist": self.jump_dist.to_json_obj() if self.jump_dist else None,
-        }
-        return obj
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LevyModel":
-        if not isinstance(obj, dict):
-            raise ConfigError("model must be a JSON object")
-        allowed = {"sigma", "drift", "jump_rate", "jump_dist"}
-        extra = set(obj) - allowed
-        if extra:
-            raise ConfigError(f"unknown model fields: {sorted(extra)}")
-        jd = obj.get("jump_dist")
-        return cls(
-            sigma=float(obj.get("sigma", 0.0)),
-            drift=float(obj.get("drift", 0.0)),
-            jump_rate=float(obj.get("jump_rate", 0.0)),
-            jump_dist=jump_dist_from_json_obj(jd) if jd is not None else None,
-        )
+        return decode(cls, obj, "model")
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,7 @@ class ThetaSpec:
             return 1.0
         return normalizing_constant(self.model, self.angle)
 
+    # hand-written: the KacStroock form leaves out angle and m_guard instead of writing nulls
     def to_json_obj(self) -> dict:
         obj = {"kind": self.kind, "n": self.n, "model": self.model.to_json_obj()}
         if self.kind != "KacStroock":

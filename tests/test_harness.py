@@ -26,6 +26,8 @@ from sheetforge import (
     UncoupledInputs,
     axis_inner_product,
     bilinear_moment_probe,
+    check_profile,
+    default_profile,
     default_zero_mean,
     empirical_covariance,
     gaussianity_test,
@@ -388,6 +390,55 @@ def test_covariance_report_writers_match_the_entrywise_rendering(tmp_path):
     assert rep.to_text() == _reference_report_text(rep)
     rep.to_csv(tmp_path / "cov.csv")
     assert (tmp_path / "cov.csv").read_bytes() == _reference_report_csv(rep).encode()
+
+
+def _small_reports():
+    """One small real report of each kind the CLI writes, by name."""
+    rng = np.random.default_rng(5)
+    pts = ((0.5, 0.5), (1.0, 1.0))
+    tag = (1, "cos-sin-pair")
+    first, second = (ReplicateSet(pts, rng.standard_normal((20, 2)), kac_stroock(4.0), 1,
+                                  coupled_group=tag) for _ in range(2))
+    step = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
+    windows = ((0.4, 0.5, 0.4, 0.5), (0.4, 0.7, 0.4, 0.7))
+    return {
+        "covariance": lambda: empirical_covariance(
+            rng.standard_normal((20, 2)), pts, np.eye(2), zero_mean=True),
+        "independence": lambda: independence_probe(first, second),
+        "gaussianity": lambda: gaussianity_test(rng.standard_normal(500), 1.0),
+        "bilinear": lambda: bilinear_moment_probe(
+            kac_stroock(4.0), step, step, Lattice(8), 10, 1),
+        "window-scaling": lambda: window_scaling_probe(
+            kac_stroock(50.0), Indicator(), Indicator(), 2, (0.0, 1.0, 0.0, 1.0),
+            windows, Lattice(16), 20, 3, predicted_gamma=0.5),
+        "profile": lambda: check_profile(
+            FbmVolterra(0.75), default_profile(FbmVolterra(0.75)), [(0.25, 0.5)]),
+    }
+
+
+@pytest.mark.parametrize("name, schema, keys", [
+    ("covariance", "sheetforge/covariance-report/1",
+     {"points", "empirical", "std_errors", "theoretical", "replicates", "zero_mean",
+      "max_abs_deviation", "max_std_deviation"}),
+    ("independence", "sheetforge/independence/1",
+     {"points_first", "points_second", "cross_covariance", "std_errors", "replicates",
+      "max_std_deviation"}),
+    ("gaussianity", "sheetforge/gaussianity/1",
+     {"ks_statistic", "p_value", "samples", "sigma2_theory"}),
+    ("bilinear", "sheetforge/bilinear-probe/1",
+     {"ratio", "second_moment", "constant", "bound_mode", "f", "g"}),
+    ("window-scaling", "sheetforge/window-scaling/1",
+     {"m_order", "windows", "areas", "moments", "slope", "slope_se", "slope_ci",
+      "predicted_min_slope", "heavy_tail"}),
+    ("profile", None,
+     {"regime", "worst_slack", "worst_pair", "worst_window", "checked_pairs",
+      "checked_windows"}),
+])
+def test_report_json_schema_and_keys(name, schema, keys):
+    """The schema string and the exact top-level keys of each written report."""
+    obj = _small_reports()[name]().to_json_obj()
+    assert obj.pop("schema", None) == schema
+    assert set(obj) == keys
 
 
 def test_default_zero_mean_policy():

@@ -1,4 +1,5 @@
 """Volterra kernels: pointwise values, squared increments, and profiles."""
+import dataclasses
 import json
 import math
 
@@ -27,6 +28,7 @@ from sheetforge import (
     volterra_constant,
     windowed_increment_l2,
 )
+from sheetforge.kernels import KERNEL_KINDS
 
 # oracle-frozen constants: 50-digit quadrature/special-function evaluation of
 # the normalizing constant and of kernel point values, rounded to float64
@@ -288,26 +290,42 @@ def test_profile_violation_raises_with_details():
 # -- serialization -------------------------------------------------------------
 
 
+# one example per kernel kind whose fields are not all floats; a kind with
+# only float fields is built with each field 0.5
+KERNEL_EXAMPLES = {
+    "goursat": Goursat(terms=(((0.0, 1.0), (1.0, 1.0)), ((2.0,), (0.0, 0.0, 3.0)))),
+    "lipschitz_diff": LipschitzDiff(xs=(0.0, 0.4, 1.0), ys=(0.0, 0.8, 1.1)),
+}
+
+
+def _kernel_example(kind):
+    cls = KERNEL_KINDS[kind]
+    return KERNEL_EXAMPLES.get(kind) or cls(**{f.name: 0.5 for f in dataclasses.fields(cls)})
+
+
 def test_kernel_json_round_trip():
-    specs = (
-        FbmVolterra(0.35),
-        Indicator(),
-        HolmgrenRL(0.8),
-        Goursat(terms=(((0.0, 1.0), (1.0, 1.0)), ((2.0,), (0.0, 0.0, 3.0)))),
-        LipschitzDiff(xs=(0.0, 0.4, 1.0), ys=(0.0, 0.8, 1.1)),
-    )
+    specs = (FbmVolterra(0.35), HolmgrenRL(0.8), *map(_kernel_example, KERNEL_KINDS))
     for spec in specs:
-        blob = json.dumps(spec.to_json_obj())
-        assert kernel_from_json_obj(json.loads(blob)) == spec
+        obj = json.loads(json.dumps(spec.to_json_obj()))
+        assert KERNEL_KINDS[obj["kind"]] is type(spec)
+        assert kernel_from_json_obj(obj) == spec
 
 
 def test_kernel_json_rejects_bad_objects():
-    with pytest.raises(ConfigError):
-        kernel_from_json_obj({"kind": "mystery"})
-    with pytest.raises(ConfigError):
-        kernel_from_json_obj({"kind": "indicator", "alpha": 0.5})
-    with pytest.raises(ConfigError):
-        kernel_from_json_obj({"kind": "fbm_volterra"})
+    for kind in ("mystery", ["indicator"], None):
+        with pytest.raises(ConfigError):
+            kernel_from_json_obj({"kind": kind})
+    for kind in KERNEL_KINDS:
+        obj = _kernel_example(kind).to_json_obj()
+        with pytest.raises(ConfigError):
+            kernel_from_json_obj(dict(obj, bogus=0.5))
+        with pytest.raises(ConfigError):
+            kernel_from_json_obj({k: v for k, v in obj.items() if k != "kind"})
+        required = (f.name for f in dataclasses.fields(KERNEL_KINDS[kind])
+                    if f.default is dataclasses.MISSING)
+        for name in required:
+            with pytest.raises(ConfigError):
+                kernel_from_json_obj({k: v for k, v in obj.items() if k != name})
 
 
 def test_kernel_spec_validation():

@@ -1,4 +1,5 @@
 """Lévy model, exponent, normalizing constant, and angle validity."""
+import dataclasses
 import json
 import math
 
@@ -19,7 +20,7 @@ from sheetforge import (
     normalizing_constant,
     unit_jump_poisson,
 )
-from sheetforge.levy import jump_dist_from_json_obj
+from sheetforge.levy import JUMP_KINDS, jump_dist_from_json_obj
 from sheetforge.sheet import sample_increments
 
 # oracle-frozen constants (brute-force minimum over k of the real exponent
@@ -193,6 +194,7 @@ def test_jump_dist_validation():
 
 
 def test_model_json_round_trip():
+    jumps = (cls(**{f.name: 0.5 for f in dataclasses.fields(cls)}) for cls in JUMP_KINDS.values())
     models = (
         unit_jump_poisson(),
         LevyModel(sigma=1.0, drift=-0.5, jump_rate=2.0,
@@ -200,6 +202,7 @@ def test_model_json_round_trip():
         LevyModel(sigma=0.0, drift=0.0, jump_rate=0.5,
                   jump_dist=GaussianJump(0.2, 0.9)),
         LevyModel(sigma=0.3, drift=0.1, jump_rate=0.0, jump_dist=None),
+        *(LevyModel(sigma=0.2, drift=0.1, jump_rate=1.5, jump_dist=j) for j in jumps),
     )
     for model in models:
         blob = json.dumps(model.to_json_obj())
