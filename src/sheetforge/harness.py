@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import ndtr, smirnov
 
 from .approx import EvalGrid, quadrature_rows, window_quadrature_rows
 from .errors import (
@@ -614,21 +614,184 @@ class GaussianityReport(JsonObject):
     sigma2_theory: float
 
 
+# Pelz-Good and Durbin constants as Simard & L'Ecuyer's scipy implementation
+# (scipy.stats._ksstats) states them: the p-value keeps its bytes only if
+# every operand has the same type and value.
+_E128 = 128
+_EP128 = np.ldexp(np.longdouble(1), _E128)
+_EM128 = np.ldexp(np.longdouble(1), -_E128)
+_SQRT2PI = np.sqrt(2 * np.pi)
+_LOG_2PI = np.log(2 * np.pi)
+_SQRT3 = np.sqrt(3)
+# Stirling coefficients B_2j / (2j (2j - 1)) for j = 8, ..., 1.
+_STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
+                    -1.9175269175269175269e-3, 8.4175084175084175084e-4,
+                    -5.952380952380952381e-4, 7.9365079365079365079e-4,
+                    -2.7777777777777777778e-3, 8.3333333333333333333e-2]
+
+
+def _durbin_cdf(n: int, d) -> float:
+    """P(D_n <= d) by the Durbin matrix, computed as Marsaglia, Tsang & Wang
+    (J. Stat. Softw. 8(18), 2003): the k-th diagonal entry of
+    (n!/n^n) H^n with d = (k - h)/n, scaled by 2^128 steps on the way."""
+    nd = n * d
+    k = int(np.ceil(nd))
+    h = k - nd
+    m = 2 * k - 1
+    H = np.zeros([m, m])
+    intm = np.arange(1, m + 1)
+    v = 1.0 - h ** intm
+    w = np.empty(m)
+    fac = 1.0
+    for j in intm:
+        w[j - 1] = fac
+        fac /= j
+        v[j - 1] *= fac
+    tt = max(2 * h - 1.0, 0) ** m - 2 * h ** m
+    v[-1] = (1.0 + tt) * fac
+    for i in range(1, m):
+        H[i - 1:, i] = w[:m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = np.flip(v, axis=0)
+
+    Hpwr = np.eye(m)
+    nn = n
+    expnt = 0
+    Hexpnt = 0
+    while nn > 0:
+        if nn % 2:
+            Hpwr = np.matmul(Hpwr, H)
+            expnt += Hexpnt
+        H = np.matmul(H, H)
+        Hexpnt *= 2
+        if np.abs(H[k - 1, k - 1]) > _EP128:
+            H /= _EP128
+            Hexpnt += _E128
+        nn = nn // 2
+    p = Hpwr[k - 1, k - 1]
+    for i in range(1, n + 1):
+        p = i * p / n
+        if np.abs(p) < _EM128:
+            p *= _EP128
+            expnt -= _E128
+    if expnt != 0:
+        p = np.ldexp(p, expnt)
+    return p
+
+
+def _pelz_good_cdf(n: int, x) -> float:
+    """P(D_n <= x) by the Pelz-Good series (JRSS B 38, 1976): the
+    Li-Chien/Korolyuk expansion K0 + K1/sqrt(n) + K2/n + K3/n^1.5 in z =
+    sqrt(n) x, each term rewritten through Jacobi theta functions."""
+    z = np.sqrt(n) * x
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+    qlog = -np.pi**2 / 8 / zsquared
+    if qlog < -708:
+        return 0.0
+    q = np.exp(qlog)
+
+    k1a = -zsquared
+    k1b = np.pi**2 / 4
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * np.pi**2 / 4
+    k2c = np.pi**4 * (1 - 2 * zsquared) / 16
+    k3d = np.pi**6 * (5 - 30 * zsquared) / 64
+    k3c = np.pi**4 * (-60 * zsquared + 212 * zfour) / 16
+    k3b = np.pi**2 * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+
+    # Horner scheme over the odd integers m = 2k - 1 of sum c_m q^(m^2).
+    K0to3 = np.zeros(4)
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        msquared, mfour, msix = m**2, m**4, m**6
+        qpower = np.power(q, 8 * k)
+        coeffs = np.array([1.0,
+                           k1a + k1b * msquared,
+                           k2a + k2b * msquared + k2c * mfour,
+                           k3a + k3b * msquared + k3c * mfour + k3d * msix])
+        K0to3 *= qpower
+        K0to3 += coeffs
+    K0to3 *= q
+    K0to3 *= _SQRT2PI
+    K0to3 /= np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+
+    # The terms of K2 and K3 over all integers k.
+    q = np.exp(-np.pi**2 / 2 / zsquared)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks ** 2
+    sqrt3z = _SQRT3 * z
+    kspi = np.pi * ks
+    qpwers = q ** ksquared
+    k2extra = np.sum(ksquared * qpwers)
+    k2extra *= np.pi**2 * _SQRT2PI / (-36 * zthree)
+    K0to3[2] += k2extra
+    k3extra = np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpwers)
+    k3extra *= np.pi**2 * _SQRT2PI / (216 * zsix)
+    K0to3[3] += k3extra
+    K0to3 /= np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
+    return sum(K0to3)
+
+
+def _kolmogorov_sf(n: int, d: float) -> float:
+    """Exact two-sided Kolmogorov-Smirnov survival function P(D_n >= d) for
+    n > 140, choosing the method by the regions of Simard & L'Ecuyer,
+    "Computing the Two-Sided Kolmogorov-Smirnov Distribution" (J. Stat.
+    Softw. 39(11), 2011). The operations are those of scipy.stats.kstwo.sf,
+    which implements the same paper, so the result has its bytes."""
+    if n <= 140:
+        raise OutOfRange(f"the KS survival function here needs n > 140, got {n}")
+    # A 0-d array, the operand scipy's kolmogn iterates with: x**1.5 must
+    # run through the same power loop.
+    x = np.asarray(d, dtype=np.float64)
+    if x >= 1.0:
+        return 0.0
+    t = n * x
+    if t <= 0.5:
+        return 1.0
+    if t <= 1.0:  # Ruben-Gambino: P(D_n <= x) = n!/n^n (2t - 1)^n
+        rn = 1.0 / n
+        log_nfact_div_npown = (np.log(n) / 2 - n + _LOG_2PI / 2
+                               + rn * np.polyval(_STIRLING_COEFFS, rn / n))
+        sf = 1.0 - np.exp(log_nfact_div_npown + n * np.log(2 * t - 1))
+    elif t >= n - 1:  # Ruben-Gambino: P(D_n >= x) = 2 (1 - x)^n
+        sf = 2 * (1.0 - x) ** n
+    elif x >= 0.5:  # exact: the two one-sided tails cannot both be crossed
+        sf = 2 * smirnov(n, x)
+    elif t * x >= 370.0:
+        return 0.0
+    elif t * x >= 2.2:  # Miller's approximation
+        sf = 2 * smirnov(n, x)
+    elif n <= 100000 and n * x**1.5 <= 1.4:
+        sf = 1.0 - _durbin_cdf(n, x)
+    else:
+        sf = 1.0 - _pelz_good_cdf(n, x)
+    return float(np.clip(sf, 0.0, 1.0))
+
+
 def gaussianity_test(samples: np.ndarray, sigma2_theory: float) -> GaussianityReport:
     """Kolmogorov-Smirnov distance of the samples against
-    Normal(0, sigma2_theory), with the asymptotic p-value."""
+    Normal(0, sigma2_theory), with the exact two-sided p-value
+    P(D_N >= D) of Simard & L'Ecuyer (2011); see `_kolmogorov_sf`."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 500:
         raise InsufficientReplicates(
             f"gaussianity test needs >= 500 samples, got {samples.size}"
         )
-    if not (sigma2_theory > 0.0):
-        raise OutOfRange(f"sigma2_theory={sigma2_theory} must be positive")
-    res = _scipy_stats.kstest(samples / math.sqrt(sigma2_theory), "norm")
+    if not (0.0 < sigma2_theory < math.inf):
+        raise OutOfRange(f"sigma2_theory={sigma2_theory} must be positive and finite")
+    if not np.all(np.isfinite(samples)):
+        raise OutOfRange("gaussianity test needs finite samples")
+    n = samples.size
+    cdf = ndtr(np.sort(samples / math.sqrt(sigma2_theory)))
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    d = d_plus if d_plus > d_minus else d_minus
     return GaussianityReport(
-        ks_statistic=float(res.statistic),
-        p_value=float(res.pvalue),
-        samples=int(samples.size),
+        ks_statistic=float(d),
+        p_value=_kolmogorov_sf(n, d),
+        samples=n,
         sigma2_theory=float(sigma2_theory),
     )
 

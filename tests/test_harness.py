@@ -943,6 +943,115 @@ def test_gaussianity_validation():
         gaussianity_test(np.zeros(100), 1.0)
     with pytest.raises(OutOfRange):
         gaussianity_test(np.zeros(600), 0.0)
+    with pytest.raises(OutOfRange):
+        gaussianity_test(np.zeros(600), math.inf)
+    for bad in (math.nan, math.inf, -math.inf):
+        samples = np.zeros(600)
+        samples[17] = bad
+        with pytest.raises(OutOfRange):
+            gaussianity_test(samples, 1.0)
+
+
+# One D per region of Simard & L'Ecuyer (2011) reachable at n > 140, and the
+# method each region must call: "smirnov", "durbin", "pelz-good" or none.
+KS_REGIONS = {
+    "below-support": (lambda n: 0.4 / n, None),
+    "ruben-gambino-low": (lambda n: 0.8 / n, None),
+    "ruben-gambino-high": (lambda n: 1.0 - 0.5 / n, None),
+    "smirnov-exact": (lambda n: 0.6, "smirnov"),
+    "zero-tail": (lambda n: math.sqrt(400.0 / n), None),
+    "smirnov-tail": (lambda n: math.sqrt(10.0 / n), "smirnov"),
+    "durbin": (lambda n: n ** (-2.0 / 3.0), "durbin"),
+    "pelz-good": (lambda n: math.sqrt(1.0 / n), "pelz-good"),
+    "at-one": (lambda n: 1.0, None),
+}
+
+
+def _ks_region(n, d):
+    """The region of (n, d), by the paper's boundaries."""
+    t = n * d
+    if d >= 1.0:
+        return "at-one"
+    if t <= 0.5:
+        return "below-support"
+    if t <= 1.0:
+        return "ruben-gambino-low"
+    if t >= n - 1:
+        return "ruben-gambino-high"
+    if d >= 0.5:
+        return "smirnov-exact"
+    if t * d >= 370.0:
+        return "zero-tail"
+    if t * d >= 2.2:
+        return "smirnov-tail"
+    return "durbin" if n * d ** 1.5 <= 1.4 else "pelz-good"
+
+
+def _spy(real, label, calls):
+    def spy(*args):
+        calls.append(label)
+        return real(*args)
+    return spy
+
+
+@pytest.mark.parametrize("n, region", [
+    (n, region) for n in (500, 1000, 2000, 10_000) for region in sorted(KS_REGIONS)
+    # n d^2 >= 370 with d < 0.5 needs n > 1480; below that d >= 0.5 is exact.
+    if not (region == "zero-tail" and n < 1480)
+])
+def test_kolmogorov_sf_matches_scipy_bit_for_bit(n, region, monkeypatch):
+    """The in-house two-sided KS survival function gives the bytes of
+    scipy.stats.kstwo.sf in every region, through the method of that region."""
+    from scipy import stats
+
+    d_of_n, method = KS_REGIONS[region]
+    d = d_of_n(n)
+    assert _ks_region(n, d) == region
+    called = []
+    for name, label in (("smirnov", "smirnov"), ("_durbin_cdf", "durbin"),
+                        ("_pelz_good_cdf", "pelz-good")):
+        monkeypatch.setattr(harness, name, _spy(getattr(harness, name), label, called))
+    sf = harness._kolmogorov_sf(n, d)
+    assert called == ([] if method is None else [method])
+    assert sf == float(stats.kstwo.sf(d, n))
+    assert type(sf) is float
+
+
+def test_kolmogorov_sf_durbin_rescales_in_long_double():
+    """At n = 500 the Durbin product n!/n^n passes 2^-128 and is rescaled by
+    a long double, so the rest of the product runs in long double. With a
+    float64 factor this case differs from scipy in the last bit."""
+    from scipy import stats
+
+    d = 0.019438661357770053
+    assert _ks_region(500, d) == "durbin"
+    assert harness._kolmogorov_sf(500, d) == float(stats.kstwo.sf(d, 500))
+
+
+def test_kolmogorov_sf_refuses_small_n():
+    with pytest.raises(OutOfRange):
+        harness._kolmogorov_sf(140, 0.05)
+
+
+def test_gaussianity_matches_scipy_kstest():
+    """Statistic and p-value have the bytes of scipy's kstest on the scaled
+    samples, over sizes and shifts that reach the Pelz-Good, Durbin and
+    Smirnov regions."""
+    from scipy import stats
+
+    rng = np.random.default_rng(1414)
+    regions = set()
+    for i in range(20):
+        n = int(rng.integers(500, 4000))
+        sigma2 = float(rng.uniform(0.5, 2.0))
+        shift = (0.0, 0.02, 0.1)[i % 3]
+        samples = rng.normal(shift, math.sqrt(sigma2), size=n)
+        report = gaussianity_test(samples, sigma2)
+        ref = stats.kstest(samples / math.sqrt(sigma2), "norm")
+        assert report.ks_statistic == float(ref.statistic)
+        assert report.p_value == float(ref.pvalue)
+        regions.add(_ks_region(n, report.ks_statistic))
+    assert {"pelz-good", "smirnov-tail"} <= regions
 
 
 def test_ks_rejection_rate_calibrated():
