@@ -20,28 +20,23 @@ every replicate through them).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import OutOfRange, PointNotOnEvalGrid
+from .errors import OutOfRange
 from .jsonio import JsonObject
 from .kernels import KernelSpec, kernel_matrix, kernel_row
 from .sheet import Lattice
-from .theta import ThetaField
 
 __all__ = [
     "EvalGrid",
-    "ApproxField",
     "quadrature_rows",
     "window_quadrature_rows",
     "build_approximation",
 ]
-
-_COORD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,80 +64,6 @@ class EvalGrid(JsonObject):
     def square(cls, points: Sequence[float]) -> "EvalGrid":
         pts = tuple(points)
         return cls(pts, pts)
-
-
-def _find_point(points: Tuple[float, ...], value: float, axis: str) -> int:
-    arr = np.asarray(points)
-    idx = int(np.argmin(np.abs(arr - value)))
-    if abs(arr[idx] - value) > _COORD_TOL:
-        raise PointNotOnEvalGrid(f"{axis}={value} is not an evaluation point")
-    return idx
-
-
-@dataclass
-class ApproxField:
-    """Evaluated approximating field with full provenance."""
-
-    grid: EvalGrid
-    values: np.ndarray
-    k1: KernelSpec
-    k2: KernelSpec
-    lattice_m: int
-    seed: Optional[int] = None
-    theta_spec_json: Optional[dict] = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expect = (len(self.grid.s_points), len(self.grid.t_points))
-        if self.values.shape != expect:
-            raise OutOfRange(f"values shape {self.values.shape} != grid shape {expect}")
-
-    def value_at(self, s: float, t: float) -> float:
-        i = _find_point(self.grid.s_points, s, "s")
-        j = _find_point(self.grid.t_points, t, "t")
-        return float(self.values[i, j])
-
-    def rect_increment(self, s: float, t: float, s2: float, t2: float) -> float:
-        """Rectangle increment X(s2,t2) - X(s2,t) - X(s,t2) + X(s,t); all
-        four coordinates must be evaluation points."""
-        if s2 < s or t2 < t:
-            raise OutOfRange("need s <= s2 and t <= t2")
-        return (
-            self.value_at(s2, t2)
-            - self.value_at(s2, t)
-            - self.value_at(s, t2)
-            + self.value_at(s, t)
-        )
-
-    def provenance(self) -> dict:
-        return {
-            "k1": self.k1.to_json_obj(),
-            "k2": self.k2.to_json_obj(),
-            "lattice_m": self.lattice_m,
-            "seed": self.seed,
-            "theta_spec": self.theta_spec_json,
-        }
-
-    # hand-written: the JSON form nests the kernels, lattice and seed under "provenance"
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": "sheetforge/approxfield/1",
-            "grid": self.grid.to_json_obj(),
-            "values": [list(map(float, row)) for row in self.values],
-            "provenance": self.provenance(),
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh, sort_keys=True, indent=1)
-
-    def to_csv(self, path) -> None:
-        prov = json.dumps(self.provenance(), sort_keys=True)
-        with open(path, "w") as fh:
-            fh.write(f"# sheetforge approxfield v1 provenance={prov}\n")
-            fh.write("s\\t," + ",".join(repr(t) for t in self.grid.t_points) + "\n")
-            for s, row in zip(self.grid.s_points, self.values):
-                fh.write(repr(s) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 # -- quadrature matrices ---------------------------------------------------
@@ -178,17 +99,16 @@ def window_quadrature_rows(
 
 
 def build_approximation(
-    theta: ThetaField,
+    theta: np.ndarray,
     k1: KernelSpec,
     k2: KernelSpec,
     grid: EvalGrid,
-) -> ApproxField:
-    """Evaluate X_n on the grid as the two dense matrix products A Theta B^T."""
-    m = theta.field.lattice.m
+) -> np.ndarray:
+    """Evaluate X_n on the grid, from an M x M midpoint field theta, as the
+    two dense matrix products A Theta B^T; entry [k, l] is X_n(s_k, t_l)."""
+    m = theta.shape[0]
     if m < 2:
         raise OutOfRange("theta lattice must have M >= 2")
     a = quadrature_rows(k1, m, grid.s_points)
     b = quadrature_rows(k2, m, grid.t_points)
-    x = a @ theta.values @ b.T
-    return ApproxField(grid, x, k1, k2, m, seed=theta.seed,
-                       theta_spec_json=theta.spec.to_json_obj())
+    return a @ theta @ b.T

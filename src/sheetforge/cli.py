@@ -126,17 +126,41 @@ def _resolve_zero_mean(cfg: ExperimentConfig) -> bool:
 # -- subcommand bodies -------------------------------------------------------
 
 
+def _write_rows(path: Path, header: str, rows) -> None:
+    """The header, then one line of comma-separated reprs per row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> list:
-    n = cfg.n_schedule[-1]
-    lattice = Lattice(cfg.lattice_m)
-    spec = cfg.spec_for_n(n)
-    theta = realize_theta(spec, lattice, mix64(cfg.master_seed, 0))
-    zeta = integrate_field(theta)
-    field = build_approximation(theta, cfg.k1, cfg.k2, cfg.eval_grid)
-    theta.field.to_csv(out / "theta_field.csv")
-    zeta.to_csv(out / "zeta_field.csv")
-    field.to_csv(out / "approx_field.csv")
-    field.to_json(out / "approx_field.json")
+    m, grid = cfg.lattice_m, cfg.eval_grid
+    spec = cfg.spec_for_n(cfg.n_schedule[-1])
+    seed = mix64(cfg.master_seed, 0)
+    theta = realize_theta(spec, Lattice(m), seed)
+    field = build_approximation(theta, cfg.k1, cfg.k2, grid)
+    tags = f"seed={seed} theta_kind={spec.kind}"
+    _write_rows(out / "theta_field.csv",
+                f"# sheetforge gridfield v1 m={m} node_kind=midpoint {tags}", theta.tolist())
+    _write_rows(out / "zeta_field.csv",
+                f"# sheetforge gridfield v1 integrated=True m={m} node_kind=corner {tags}",
+                integrate_field(theta).tolist())
+    provenance = {
+        "k1": cfg.k1.to_json_obj(),
+        "k2": cfg.k2.to_json_obj(),
+        "lattice_m": m,
+        "seed": seed,
+        "theta_spec": spec.to_json_obj(),
+    }
+    prov, columns = json.dumps(provenance, sort_keys=True), ",".join(map(repr, grid.t_points))
+    _write_rows(out / "approx_field.csv",
+                f"# sheetforge approxfield v1 provenance={prov}\ns\\t,{columns}",
+                ([s, *row] for s, row in zip(grid.s_points, field.tolist())))
+    # not _dump_json: this file has always ended without a newline
+    with open(out / "approx_field.json", "w") as fh:
+        json.dump({"schema": "sheetforge/approxfield/1", "grid": grid.to_json_obj(),
+                   "values": field.tolist(), "provenance": provenance},
+                  fh, sort_keys=True, indent=1)
     return ["theta_field.csv", "zeta_field.csv", "approx_field.csv", "approx_field.json"]
 
 
@@ -195,20 +219,14 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _cmd_kernel_table(cfg: ExperimentConfig, out: Path) -> list:
-    lattice = Lattice(cfg.lattice_m)
-    mids = lattice.midpoints()
-
-    def write_matrix(name: str, spec, points) -> None:
-        mat = kernel_matrix(spec, points, mids)
-        with open(out / name, "w") as fh:
-            fh.write("t\\r," + ",".join(repr(float(r)) for r in mids) + "\n")
-            for t, row in zip(points, mat):
-                fh.write(
-                    repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n"
-                )
-
-    write_matrix("kernel1_matrix.csv", cfg.k1, cfg.eval_grid.s_points)
-    write_matrix("kernel2_matrix.csv", cfg.k2, cfg.eval_grid.t_points)
+    mids = Lattice(cfg.lattice_m).midpoints()
+    header = "t\\r," + ",".join(map(repr, mids.tolist()))
+    for name, spec, points in (
+        ("kernel1_matrix.csv", cfg.k1, cfg.eval_grid.s_points),
+        ("kernel2_matrix.csv", cfg.k2, cfg.eval_grid.t_points),
+    ):
+        mat = kernel_matrix(spec, points, mids).tolist()
+        _write_rows(out / name, header, ([t, *row] for t, row in zip(points, mat)))
 
     def closed_form(spec, s, s2):
         if isinstance(spec, FbmVolterra):

@@ -8,8 +8,6 @@ __all__ = [
     "SheetForgeError",
     "OutOfRange",
     "DegenerateAngle",
-    "NodeNotOnLattice",
-    "PointNotOnEvalGrid",
     "QuadratureFailure",
     "ProfileViolation",
     "InsufficientReplicates",
@@ -29,16 +27,6 @@ class OutOfRange(SheetForgeError, ValueError):
 class DegenerateAngle(SheetForgeError, ValueError):
     """The Levy exponent real part vanishes at the requested angle (or one of
     its first m multiples), so the wave-kernel constants are undefined."""
-
-
-class NodeNotOnLattice(SheetForgeError, ValueError):
-    """A coordinate passed to a grid-field lookup is neither 0 nor a node."""
-
-
-class PointNotOnEvalGrid(SheetForgeError, ValueError):
-    """A coordinate passed to an approximation-field lookup is not on its
-    evaluation grid. 0 has no special meaning there: it is accepted only
-    when it is itself an evaluation point."""
 
 
 class QuadratureFailure(SheetForgeError, ArithmeticError):

@@ -193,6 +193,4 @@ def min_real_exponent(model: LevyModel, theta: float, m: int) -> float:
 
 def check_angle(model: LevyModel, theta: float, m: int) -> bool:
     """True iff a(k*theta) > 0 for every k = 1..m."""
-    if not isinstance(m, int) or m < 1:
-        raise OutOfRange(f"m={m} must be a positive integer")
-    return all(exponent(model, k * theta).a > 0.0 for k in range(1, m + 1))
+    return min_real_exponent(model, theta, m) > 0.0

@@ -1,4 +1,4 @@
-"""Midpoint lattice, grid fields, and exact Levy-sheet sampling.
+"""Midpoint lattice and exact Levy-sheet sampling.
 
 The lattice has M nodes per axis at x_i = (i - 1/2)/M. The sheet partition
 per axis is [0, x_1], (x_1, x_2], ..., (x_{M-1}, x_M] (first cell half-width),
@@ -6,26 +6,23 @@ so cumulative sums of independent per-cell increments give the sheet value
 exactly AT the midpoints (a pure fixed-jump sheet bins Poisson uniform
 points onto it, and keeps its counts per block of occupied rows and
 columns; every other sheet keeps its values on one block per cell).
-GridField tabulates a scalar field on the lattice nodes, looks it up at a
-node and writes it as CSV.
 Quadrature over theta fields elsewhere uses the uniform midpoint-rule
 weight 1/M; the two weight systems are intentionally distinct.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from .errors import NodeNotOnLattice, OutOfRange
+from .errors import OutOfRange
 from .levy import Deterministic, GaussianJump, LevyModel, TwoPoint
 
 __all__ = [
     "mix64",
     "Lattice",
-    "GridField",
     "SheetSample",
     "sample_increments",
     "simulate_sheet",
@@ -33,8 +30,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-_COORD_TOL = 1e-12
 
 
 def mix64(master_seed: int, index: int) -> int:
@@ -65,80 +60,12 @@ class Lattice:
     def midpoints(self) -> np.ndarray:
         return (np.arange(1, self.m + 1) - 0.5) / self.m
 
-    def corners(self) -> np.ndarray:
-        """Upper cell boundaries i/M, i = 1..M (the integration nodes of
-        cumulative fields)."""
-        return np.arange(1, self.m + 1) / self.m
-
     def partition_widths(self) -> np.ndarray:
         """Widths of the sheet-sampling partition [0,x_1], (x_1,x_2], ...:
         first cell 1/(2M), the rest 1/M."""
         w = np.full(self.m, 1.0 / self.m)
         w[0] = 0.5 / self.m
         return w
-
-
-def _lookup_index(coords: np.ndarray, value: float, what: str) -> Optional[int]:
-    """Index of value in coords, None for coordinate 0 (fields vanish on the
-    axes). Raises NodeNotOnLattice otherwise."""
-    if abs(value) <= _COORD_TOL:
-        return None
-    idx = int(np.argmin(np.abs(coords - value)))
-    if abs(coords[idx] - value) > _COORD_TOL:
-        raise NodeNotOnLattice(f"{what}={value} is neither 0 nor a lattice node")
-    return idx
-
-
-@dataclass
-class GridField:
-    """Scalar field tabulated on the lattice; values[i, j] is the field at
-    (coord_i, coord_j) where coords are midpoints or cell corners depending
-    on node_kind. The field is 0 on the axes by convention."""
-
-    lattice: Lattice
-    values: np.ndarray
-    node_kind: str = "midpoint"
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.lattice.m, self.lattice.m):
-            raise OutOfRange(
-                f"values shape {self.values.shape} does not match lattice m={self.lattice.m}"
-            )
-        if self.node_kind not in ("midpoint", "corner"):
-            raise OutOfRange(f"unknown node_kind {self.node_kind!r}")
-
-    def coords(self) -> np.ndarray:
-        if self.node_kind == "midpoint":
-            return self.lattice.midpoints()
-        return self.lattice.corners()
-
-    def value_at(self, s: float, t: float) -> float:
-        """Field value at a node, with coordinate 0 mapping to 0."""
-        i = _lookup_index(self.coords(), s, "s")
-        j = _lookup_index(self.coords(), t, "t")
-        if i is None or j is None:
-            return 0.0
-        return float(self.values[i, j])
-
-    def rect_increment(self, s: float, t: float, s2: float, t2: float) -> float:
-        """Four-point rectangle increment F(s2,t2)-F(s2,t)-F(s,t2)+F(s,t)."""
-        return (
-            self.value_at(s2, t2)
-            - self.value_at(s2, t)
-            - self.value_at(s, t2)
-            + self.value_at(s, t)
-        )
-
-    # -- serialization ----------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        meta = {"m": self.lattice.m, "node_kind": self.node_kind, **self.meta}
-        pairs = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-        with open(path, "w") as fh:
-            fh.write(f"# sheetforge gridfield v1 {pairs}\n")
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in self.values.tolist())
 
 
 @dataclass

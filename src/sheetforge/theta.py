@@ -28,11 +28,10 @@ from .levy import (
     normalizing_constant,
     unit_jump_poisson,
 )
-from .sheet import GridField, Lattice, SheetSample, simulate_sheet
+from .sheet import Lattice, SheetSample, simulate_sheet
 
 __all__ = [
     "ThetaSpec",
-    "ThetaField",
     "kac_stroock",
     "levy_cos",
     "levy_sin",
@@ -121,19 +120,6 @@ def levy_sin(model: LevyModel, n: float, angle: float, m_guard: int = 2) -> Thet
     return ThetaSpec(kind="LevySin", n=n, model=model, angle=angle, m_guard=m_guard)
 
 
-@dataclass
-class ThetaField:
-    """A realized random kernel: midpoint GridField plus provenance."""
-
-    field: GridField
-    spec: ThetaSpec
-    seed: int
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
-
-
 _PARITY = np.array([1.0, -1.0])
 _PARITY.setflags(write=False)
 
@@ -170,29 +156,19 @@ def theta_values_from_sheet(spec: ThetaSpec, sheet: SheetSample) -> np.ndarray:
     return wave_of(spec.angle * table)[blocks]
 
 
-def realize_theta(spec: ThetaSpec, lattice: Lattice, seed: int) -> ThetaField:
+def realize_theta(spec: ThetaSpec, lattice: Lattice, seed: int) -> np.ndarray:
     """One random-kernel realization, theta = n K sqrt(xy) f(L) on the
-    lattice midpoints, from one Lévy-sheet draw evaluated exactly at the
-    scaled midpoints."""
+    lattice midpoints (an M x M array), from one Lévy-sheet draw evaluated
+    exactly at the scaled midpoints."""
     sheet = simulate_sheet(spec.model, spec.n, lattice, seed)
     wave = sheet.on_cells(theta_values_from_sheet(spec, sheet))
     x = lattice.midpoints()
-    values = spec.n * spec.normalizer() * np.sqrt(np.outer(x, x)) * wave
-    gf = GridField(lattice, values, node_kind="midpoint",
-                   meta={"theta_kind": spec.kind, "seed": seed})
-    return ThetaField(field=gf, spec=spec, seed=seed)
+    return spec.n * spec.normalizer() * np.sqrt(np.outer(x, x)) * wave
 
 
-def integrate_field(theta: ThetaField | GridField) -> GridField:
-    """Primitive field zeta(s, t) = int_0^s int_0^t theta, tabulated at the
-    cell corners i/M by cumulative midpoint sums with uniform cell area
-    1/M^2. zeta(0, .) = zeta(., 0) = 0 via the corner-field axis convention."""
-    gf = theta.field if isinstance(theta, ThetaField) else theta
-    if gf.node_kind != "midpoint":
-        raise OutOfRange("integrate_field expects a midpoint-node field")
-    m = gf.lattice.m
-    cell = 1.0 / (m * m)
-    zeta = (gf.values * cell).cumsum(axis=0).cumsum(axis=1)
-    meta = {k: v for k, v in gf.meta.items()}
-    meta["integrated"] = True
-    return GridField(gf.lattice, zeta, node_kind="corner", meta=meta)
+def integrate_field(theta: np.ndarray) -> np.ndarray:
+    """Primitive field zeta(s, t) = int_0^s int_0^t theta of an M x M
+    midpoint field, tabulated at the cell corners (i/M, j/M), i, j = 1..M,
+    by cumulative midpoint sums with uniform cell area 1/M^2."""
+    m = theta.shape[0]
+    return (theta * (1.0 / (m * m))).cumsum(axis=0).cumsum(axis=1)

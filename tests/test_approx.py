@@ -1,5 +1,6 @@
 """Approximating field construction: GEMM against the triple-loop oracle,
-identities, windowed-field rows, and serialization."""
+identities, windowed-field rows, and the approximating field's files as
+the simulate command writes them."""
 import json
 
 import numpy as np
@@ -9,32 +10,24 @@ from sheetforge import (
     EvalGrid,
     FbmVolterra,
     Goursat,
-    GridField,
     HolmgrenRL,
     Indicator,
     Lattice,
     LipschitzDiff,
     OutOfRange,
-    PointNotOnEvalGrid,
-    ThetaField,
     build_approximation,
     integrate_field,
     kac_stroock,
     mix64,
+    preset,
     quadrature_rows,
     realize_theta,
     window_quadrature_rows,
 )
 
+from sheetforge.cli import run
+
 from triple_loop import triple_loop_field
-
-
-def _fake_theta(values: np.ndarray, n: float = 10.0) -> ThetaField:
-    """Wrap arbitrary midpoint values as a ThetaField; the builders only read
-    values, lattice, and provenance."""
-    m = values.shape[0]
-    gf = GridField(Lattice(m), values, node_kind="midpoint")
-    return ThetaField(field=gf, spec=kac_stroock(n), seed=0)
 
 
 def _random_kernel(rng):
@@ -74,13 +67,13 @@ def test_gemm_matches_naive_on_random_instances():
     for _ in range(30):
         m = int(rng.integers(2, 33))
         p = int(rng.integers(1, 6))
-        theta = _fake_theta(rng.standard_normal((m, m)))
+        theta = rng.standard_normal((m, m))
         k1, k2 = _random_kernel(rng), _random_kernel(rng)
         pts = tuple(sorted(rng.uniform(0.05, 1.0, p)))
         if len(set(pts)) != p:
             continue
         grid = EvalGrid.square(pts)
-        fast = build_approximation(theta, k1, k2, grid).values
+        fast = build_approximation(theta, k1, k2, grid)
         slow = triple_loop_field(theta, k1, k2, grid)
         scale = max(1.0, np.abs(fast).max())
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-10 * scale)
@@ -93,12 +86,10 @@ def test_build_is_bilinear_in_theta():
     v2 = rng.standard_normal((m, m))
     grid = EvalGrid.square((0.3, 0.7, 1.0))
     k1, k2 = FbmVolterra(0.6), FbmVolterra(0.4)
-    combo = build_approximation(_fake_theta(2.0 * v1 - 3.0 * v2), k1, k2, grid)
-    x1 = build_approximation(_fake_theta(v1), k1, k2, grid)
-    x2 = build_approximation(_fake_theta(v2), k1, k2, grid)
-    np.testing.assert_allclose(
-        combo.values, 2.0 * x1.values - 3.0 * x2.values, rtol=0, atol=1e-12
-    )
+    combo = build_approximation(2.0 * v1 - 3.0 * v2, k1, k2, grid)
+    x1 = build_approximation(v1, k1, k2, grid)
+    x2 = build_approximation(v2, k1, k2, grid)
+    np.testing.assert_allclose(combo, 2.0 * x1 - 3.0 * x2, rtol=0, atol=1e-12)
 
 
 def test_kernel_swap_transposes_the_field():
@@ -106,17 +97,17 @@ def test_kernel_swap_transposes_the_field():
     v = rng.standard_normal((12, 12))
     grid = EvalGrid.square((0.25, 0.6, 0.9))
     k1, k2 = FbmVolterra(0.7), Indicator()
-    direct = build_approximation(_fake_theta(v), k1, k2, grid)
-    swapped = build_approximation(_fake_theta(v.T.copy()), k2, k1, grid)
-    np.testing.assert_allclose(direct.values, swapped.values.T, rtol=1e-12, atol=1e-14)
+    direct = build_approximation(v, k1, k2, grid)
+    swapped = build_approximation(v.T.copy(), k2, k1, grid)
+    np.testing.assert_allclose(direct, swapped.T, rtol=1e-12, atol=1e-14)
 
 
 def test_zero_coordinate_gives_exact_zero_row():
-    theta = _fake_theta(np.random.default_rng(1).standard_normal((8, 8)))
+    theta = np.random.default_rng(1).standard_normal((8, 8))
     grid = EvalGrid((0.0, 0.5, 1.0), (0.0, 1.0))
     x = build_approximation(theta, FbmVolterra(0.3), Indicator(), grid)
-    np.testing.assert_array_equal(x.values[0, :], 0.0)
-    np.testing.assert_array_equal(x.values[:, 0], 0.0)
+    np.testing.assert_array_equal(x[0, :], 0.0)
+    np.testing.assert_array_equal(x[:, 0], 0.0)
 
 
 def test_indicator_kernels_reproduce_integrated_field():
@@ -125,9 +116,9 @@ def test_indicator_kernels_reproduce_integrated_field():
     lat = Lattice(16)
     theta = realize_theta(kac_stroock(100.0), lat, seed=mix64(5, 0))
     zeta = integrate_field(theta)
-    grid = EvalGrid.square(tuple(lat.corners()))
+    grid = EvalGrid.square(tuple(np.arange(1, 17) / 16))  # the corners i/M
     x = build_approximation(theta, Indicator(), Indicator(), grid)
-    np.testing.assert_allclose(x.values, zeta.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x, zeta, rtol=0, atol=1e-12)
 
 
 # -- windowed auxiliary field --------------------------------------------------
@@ -148,9 +139,10 @@ def test_window_field_reproduces_rectangle_increment():
     k1, k2 = FbmVolterra(0.65), FbmVolterra(0.45)
     s, s2, t, t2 = 0.25, 0.7, 0.4, 0.9
     grid = EvalGrid.square((0.25, 0.4, 0.7, 0.9))  # holds all four corners
-    x = build_approximation(_fake_theta(vals), k1, k2, grid)
+    x = build_approximation(vals, k1, k2, grid)
     [[y]] = _window_field(vals, k1, k2, s, s2, t, t2, (1.0,))
-    expect = x.rect_increment(s, t, s2, t2)
+    # X(s2,t2) - X(s2,t) - X(s,t2) + X(s,t), at grid indices s=0, t=1, s2=2, t2=3
+    expect = x[2, 3] - x[2, 1] - x[0, 3] + x[0, 1]
     assert y == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
 
@@ -190,55 +182,63 @@ def test_quadrature_rows_cached_and_write_protected():
     np.testing.assert_array_equal(a[1], row / 16.0)
 
 
-# -- container and serialization ------------------------------------------------
+# -- field files --------------------------------------------------------------
 
 
-def test_value_at_rejects_off_grid_points():
-    x = build_approximation(
-        _fake_theta(np.zeros((4, 4))), Indicator(), Indicator(),
-        EvalGrid.square((0.5, 1.0)),
-    )
-    with pytest.raises(PointNotOnEvalGrid):
-        x.value_at(0.25, 1.0)
-    with pytest.raises(OutOfRange):
-        x.rect_increment(1.0, 0.5, 0.5, 1.0)
+def _simulate(out, m, n, overrides):
+    """Run simulate on the baseline preset at lattice m and final level n;
+    return replicate 0's theta field, its seed and the spec it was drawn
+    from."""
+    raw = preset("brownian-baseline")
+    run("simulate", raw, [f"lattice_m={m}", f"n_schedule=[{n}]", *overrides],
+        out_dir=str(out))
+    seed = mix64(raw["master_seed"], 0)
+    spec = kac_stroock(n)
+    return realize_theta(spec, Lattice(m), seed), seed, spec
 
 
 def test_approx_field_json_round_trip(tmp_path):
-    lat = Lattice(8)
-    theta = realize_theta(kac_stroock(25.0), lat, seed=4)
+    theta, seed, spec = _simulate(tmp_path, 8, 25.0, [
+        'kernel1={"kind":"fbm_volterra","alpha":0.6}',
+        'eval_grid={"s_points":[0.25,0.5,1.0],"t_points":[0.25,0.5,1.0]}',
+    ])
     grid = EvalGrid.square((0.25, 0.5, 1.0))
     x = build_approximation(theta, FbmVolterra(0.6), Indicator(), grid)
-    path = tmp_path / "field.json"
-    x.to_json(path)
-    obj = json.loads(path.read_text())
-    assert obj == x.to_json_obj()
+    text = (tmp_path / "approx_field.json").read_text()
+    assert not text.endswith("\n")
+    obj = json.loads(text)
     assert obj["schema"] == "sheetforge/approxfield/1"
     assert obj["grid"] == {"s_points": [0.25, 0.5, 1.0], "t_points": [0.25, 0.5, 1.0]}
+    assert set(obj) == {"schema", "grid", "provenance", "values"}
     prov = obj["provenance"]
     assert prov["k1"] == {"alpha": 0.6, "kind": "fbm_volterra"}
-    assert prov["lattice_m"] == 8 and prov["seed"] == 4
-    assert prov["theta_spec"] == kac_stroock(25.0).to_json_obj()
-    assert np.array(obj["values"]).tobytes() == x.values.tobytes()
+    assert prov["lattice_m"] == 8 and prov["seed"] == seed
+    assert prov["theta_spec"] == spec.to_json_obj()
+    assert np.array(obj["values"]).tobytes() == x.tobytes()
 
 
 def test_approx_field_csv_contains_provenance(tmp_path):
-    x = build_approximation(
-        _fake_theta(np.ones((4, 4))), Indicator(), Indicator(),
-        EvalGrid.square((0.5, 1.0)),
-    )
-    path = tmp_path / "field.csv"
-    x.to_csv(path)
-    text = path.read_text()
-    lines = text.strip().split("\n")
+    theta, seed, spec = _simulate(tmp_path, 4, 4.0, [
+        'eval_grid={"s_points":[0.5,1.0],"t_points":[0.5,1.0]}',
+    ])
+    grid = EvalGrid.square((0.5, 1.0))
+    x = build_approximation(theta, Indicator(), Indicator(), grid)
+    lines = (tmp_path / "approx_field.csv").read_text().split("\n")
     assert lines[0].startswith("# sheetforge approxfield v1 provenance=")
     prov = json.loads(lines[0].split("provenance=", 1)[1])
-    assert prov["k1"] == {"kind": "indicator"}
-    assert len(lines) == 2 + 2  # header + column row + one row per s point
+    assert prov == {
+        "k1": {"kind": "indicator"},
+        "k2": {"kind": "indicator"},
+        "lattice_m": 4,
+        "seed": seed,
+        "theta_spec": spec.to_json_obj(),
+    }
+    # header, column row, one row per s point, each ending in a newline
+    assert lines[4:] == [""]
     head = lines[1].split(",")
     assert head[0] == "s\\t"
-    assert [float(v) for v in head[1:]] == list(x.grid.t_points)
-    for s, line, row in zip(x.grid.s_points, lines[2:], x.values):
+    assert [float(v) for v in head[1:]] == list(grid.t_points)
+    for s, line, row in zip(grid.s_points, lines[2:4], x):
         fields = [float(v) for v in line.split(",")]
         assert fields[0] == s
         assert fields[1:] == row.tolist()

@@ -213,7 +213,7 @@ def test_simulate_writes_fields_and_provenance(tmp_path, capsys):
 
     # the theta field of replicate 0 at the final n, every float exact
     seed = preset("brownian-baseline")["master_seed"]
-    want = realize_theta(kac_stroock(4.0), Lattice(16), mix64(seed, 0)).values
+    want = realize_theta(kac_stroock(4.0), Lattice(16), mix64(seed, 0))
     theta = np.loadtxt(out / "theta_field.csv", skiprows=1, delimiter=",")
     assert theta.shape == (16, 16) and theta.tobytes() == want.tobytes()
 

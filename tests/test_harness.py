@@ -562,7 +562,7 @@ def _assert_matches_dense(specs, lattice, left, right, out, master_seed):
     for r in range(out.shape[1]):
         sheet = simulate_sheet(specs[0].model, specs[0].n, lattice, mix64(master_seed, r))
         for k, spec in enumerate(specs):
-            theta = reference_theta(spec, sheet_field(sheet).values, lattice)
+            theta = reference_theta(spec, sheet_field(sheet), lattice)
             want = left @ theta @ right.T
             scale = np.abs(left) @ np.abs(theta) @ np.abs(right).T
             err = np.abs(out[k, r] - want.ravel()).max()
@@ -906,7 +906,7 @@ def test_window_scaling_probe_matches_inline_mask_reference(monkeypatch):
     incs = np.empty((r, len(windows)))
     for i in range(r):
         sheet = simulate_sheet(spec.model, spec.n, lat, mix64(seed, i))
-        th = reference_theta(spec, sheet_field(sheet).values, lat)
+        th = reference_theta(spec, sheet_field(sheet), lat)
         incs[i] = np.einsum("wi,iw->w", u_rows, th @ v_rows.T)
     powers = incs**2
     vals = powers.mean(axis=0)

@@ -1,4 +1,4 @@
-"""Exact sheet sampling, lattice geometry, seeds, and field containers."""
+"""Exact sheet sampling, lattice geometry and seeds."""
 import math
 
 import numpy as np
@@ -8,17 +8,20 @@ import scipy.stats
 from sheetforge import (
     Deterministic,
     GaussianJump,
-    GridField,
     Lattice,
     LevyModel,
-    NodeNotOnLattice,
     OutOfRange,
     TwoPoint,
+    integrate_field,
+    kac_stroock,
     mix64,
+    preset,
+    realize_theta,
     simulate_sheet,
     unit_jump_poisson,
 )
 from sheetforge import sheet as sheet_module
+from sheetforge.cli import run
 from sheetforge.sheet import sample_increments
 
 from triple_loop import sheet_field
@@ -30,7 +33,6 @@ from triple_loop import sheet_field
 def test_lattice_nodes_and_partition():
     lat = Lattice(4)
     np.testing.assert_array_equal(lat.midpoints(), [0.125, 0.375, 0.625, 0.875])
-    np.testing.assert_array_equal(lat.corners(), [0.25, 0.5, 0.75, 1.0])
     w = lat.partition_widths()
     np.testing.assert_array_equal(w, [0.125, 0.25, 0.25, 0.25])
     # cumulative partition boundaries are exactly the midpoints
@@ -73,24 +75,27 @@ def test_drift_only_sheet_is_exact_product():
     sheet = simulate_sheet(model, n=9.0, lattice=lat, seed=5)
     x = lat.midpoints()
     expected = 0.75 * 9.0 * np.outer(x, x)
-    np.testing.assert_allclose(sheet_field(sheet).values, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sheet_field(sheet), expected, rtol=0, atol=1e-12)
 
 
 def test_sheet_values_vanish_on_axes_and_increment_adds_up():
+    """With the axes prepended as row and column 0, rectangle increments of
+    the unit-jump sheet are Poisson counts: nonnegative integers, the node
+    value for a rectangle anchored at the origin, and additive."""
     model = unit_jump_poisson()
     lat = Lattice(8)
     sheet = simulate_sheet(model, n=50.0, lattice=lat, seed=11)
-    f = sheet_field(sheet)
-    x = lat.midpoints()
-    assert f.value_at(0.0, x[3]) == 0.0
-    assert f.value_at(x[3], 0.0) == 0.0
+    f = np.pad(sheet_field(sheet), ((1, 0), (1, 0)))
+
+    def rect(i, j, i2, j2):
+        return f[i2, j2] - f[i2, j] - f[i, j2] + f[i, j]
+
+    cells = np.diff(np.diff(f, axis=0), axis=1)
+    assert np.all(cells >= 0) and np.array_equal(cells, np.round(cells))
     # increments over [0,s]x[0,t] recover node values
-    assert f.rect_increment(0.0, 0.0, x[5], x[2]) == f.value_at(x[5], x[2])
+    assert rect(0, 0, 6, 3) == f[6, 3]
     # additivity: stacking two adjacent rectangles matches the union
-    a = f.rect_increment(x[1], x[2], x[4], x[6])
-    b = f.rect_increment(x[4], x[2], x[7], x[6])
-    union = f.rect_increment(x[1], x[2], x[7], x[6])
-    assert a + b == pytest.approx(union, abs=1e-12)
+    assert rect(2, 3, 5, 7) + rect(5, 3, 8, 7) == rect(2, 3, 8, 7)
 
 
 def test_sheet_determinism_and_seed_sensitivity():
@@ -98,9 +103,9 @@ def test_sheet_determinism_and_seed_sensitivity():
     lat = Lattice(16)
     one = simulate_sheet(model, 100.0, lat, seed=42)
     two = simulate_sheet(model, 100.0, lat, seed=42)
-    np.testing.assert_array_equal(sheet_field(one).values, sheet_field(two).values)
+    np.testing.assert_array_equal(sheet_field(one), sheet_field(two))
     other = simulate_sheet(model, 100.0, lat, seed=43)
-    assert not np.array_equal(sheet_field(one).values, sheet_field(other).values)
+    assert not np.array_equal(sheet_field(one), sheet_field(other))
 
 
 def _reference_counts(rate, n, lattice, seed):
@@ -165,7 +170,7 @@ def test_in_place_prefix_sums_match_cumsum_bytes(name, m, extra_rows, n):
     lat = Lattice(m + extra_rows)
     sheet = simulate_sheet(model, n, lat, seed=m)
     assert (_prefix_rows(sheet) >= _ROW_SWEEP_ROWS) == (extra_rows > 0)
-    got = sheet_field(sheet).values
+    got = sheet_field(sheet)
     want = _reference_sheet(model, n, lat, m)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -186,7 +191,7 @@ def test_fixed_jump_sheets_carry_their_counts(h, m, n):
     assert np.any(want == 0) and np.any(want > 0)
     values = np.where(want == 0, 0.0, h * want)
     assert not np.signbit(values[want == 0]).any()
-    assert sheet_field(sheet).values.tobytes() == values.tobytes()
+    assert sheet_field(sheet).tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("model", [
@@ -203,7 +208,7 @@ def test_other_sheets_carry_no_counts(model):
     sheet = simulate_sheet(model, 30.0, Lattice(16), seed=8)
     assert sheet.blocks.dtype == np.float64 and sheet.blocks.shape == (16, 16)
     assert all(np.array_equal(ends, np.arange(1, 17)) for ends in sheet.block_ends)
-    assert sheet_field(sheet).values.tobytes() == sheet.blocks.tobytes()
+    assert sheet_field(sheet).tobytes() == sheet.blocks.tobytes()
 
 
 @pytest.mark.parametrize("m, n", [(1, 0.8), (1, 3.0), (4, 16.5), (64, 30.0)],
@@ -223,7 +228,7 @@ def test_fixed_jump_sheet_without_points_is_all_plus_zero():
     sheet = simulate_sheet(LevyModel(jump_rate=1.0, jump_dist=Deterministic(-2.0)),
                            1e-9, Lattice(8), seed=4)
     assert sheet.blocks.dtype == np.int64 and not sheet.blocks.any()
-    assert sheet_field(sheet).values.tobytes() == np.zeros((8, 8)).tobytes()
+    assert sheet_field(sheet).tobytes() == np.zeros((8, 8)).tobytes()
 
 
 class _UpperEdgeRng:
@@ -293,7 +298,7 @@ def test_poisson_cell_counts_goodness_of_fit():
     counts = []
     for r in range(2000):
         sheet = simulate_sheet(model, 16.0, lat, seed=mix64(31337, r))
-        vals = np.pad(sheet_field(sheet).values, ((1, 0), (1, 0)))
+        vals = np.pad(sheet_field(sheet), ((1, 0), (1, 0)))
         inc = np.diff(np.diff(vals, axis=0), axis=1)
         counts.append(inc[1:, 1:].ravel())  # 9 interior cells of area 1
     counts = np.concatenate(counts)
@@ -310,13 +315,12 @@ def test_poisson_cell_counts_goodness_of_fit():
 def test_disjoint_rectangle_increments_uncorrelated():
     model = unit_jump_poisson()
     lat = Lattice(8)
-    x = lat.midpoints()
     a_vals, b_vals = [], []
     for r in range(4000):
         sheet = simulate_sheet(model, 4.0, lat, seed=mix64(909, r))
         f = sheet_field(sheet)
-        a_vals.append(f.rect_increment(x[0], x[0], x[3], x[3]))
-        b_vals.append(f.rect_increment(x[4], x[4], x[7], x[7]))
+        a_vals.append(f[3, 3] - f[3, 0] - f[0, 3] + f[0, 0])
+        b_vals.append(f[7, 7] - f[7, 4] - f[4, 7] + f[4, 4])
     a = np.asarray(a_vals)
     b = np.asarray(b_vals)
     corr = np.corrcoef(a, b)[0, 1]
@@ -342,35 +346,26 @@ def test_gaussian_jump_increment_moments():
     assert abs(draws.var(ddof=1) - var_theory) <= 5.0 * se_var
 
 
-# -- field container ----------------------------------------------------------
-
-
-def test_value_at_rejects_off_node_coordinates():
-    f = GridField(Lattice(4), np.zeros((4, 4)))
-    with pytest.raises(NodeNotOnLattice):
-        f.value_at(0.3, 0.125)
-    with pytest.raises(NodeNotOnLattice):
-        f.rect_increment(0.0, 0.0, 0.2, 0.375)
-
-
-def test_gridfield_shape_and_kind_validation():
-    with pytest.raises(OutOfRange):
-        GridField(Lattice(4), np.zeros((3, 4)))
-    with pytest.raises(OutOfRange):
-        GridField(Lattice(2), np.zeros((2, 2)), node_kind="edge")
+# -- field CSV files ----------------------------------------------------------
 
 
 def test_gridfield_csv_round_trip_exact(tmp_path):
-    """to_csv writes a header naming the lattice, node kind and meta, then
-    one row of repr floats per node row, which read back to the same
-    bytes."""
-    rng = np.random.default_rng(7)
-    for kind in ("midpoint", "corner"):
-        f = GridField(Lattice(5), rng.standard_normal((5, 5)), node_kind=kind,
-                      meta={"seed": 3})
-        path = tmp_path / f"field_{kind}.csv"
-        f.to_csv(path)
+    """simulate writes each lattice field as a header naming the lattice,
+    node kind and meta, then one row of repr floats per node row, which
+    read back to the same bytes."""
+    raw = preset("brownian-baseline")
+    run("simulate", raw, ["lattice_m=5", "n_schedule=[9.0]",
+                          'eval_grid={"s_points":[1.0],"t_points":[1.0]}'],
+        out_dir=str(tmp_path))
+    seed = mix64(raw["master_seed"], 0)
+    theta = realize_theta(kac_stroock(9.0), Lattice(5), seed)
+    for name, kind, tags, values in (
+        ("theta_field.csv", "midpoint", "", theta),
+        ("zeta_field.csv", "corner", "integrated=True ", integrate_field(theta)),
+    ):
+        path = tmp_path / name
         header = path.read_text().split("\n", 1)[0]
-        assert header == f"# sheetforge gridfield v1 m=5 node_kind={kind} seed=3"
+        assert header == (f"# sheetforge gridfield v1 {tags}m=5 node_kind={kind} "
+                          f"seed={seed} theta_kind=KacStroock")
         g = np.loadtxt(path, skiprows=1, delimiter=",")
-        assert g.tobytes() == f.values.tobytes()
+        assert g.shape == (5, 5) and g.tobytes() == values.tobytes()

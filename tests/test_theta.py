@@ -83,8 +83,8 @@ def test_degenerate_angle_rejected_at_construction():
 def test_parity_field_saturates_envelope_exactly():
     lat = Lattice(16)
     th = realize_theta(kac_stroock(50.0), lat, seed=3)
-    np.testing.assert_array_equal(np.abs(th.values), _envelope(50.0, lat))
-    signs = th.values / _envelope(50.0, lat)
+    np.testing.assert_array_equal(np.abs(th), _envelope(50.0, lat))
+    signs = th / _envelope(50.0, lat)
     assert set(np.unique(signs)) <= {-1.0, 1.0}
 
 
@@ -92,7 +92,7 @@ def test_rate_zero_parity_diagnostic_is_deterministic():
     lat = Lattice(8)
     spec = kac_stroock(25.0, rate=0.0)
     th = realize_theta(spec, lat, seed=123)
-    np.testing.assert_array_equal(th.values, _envelope(25.0, lat))
+    np.testing.assert_array_equal(th, _envelope(25.0, lat))
 
 
 def _frozen_sheet(model, blocks):
@@ -146,11 +146,11 @@ def _check_count_sheet_theta(sheet, lat, seed):
     for spec in _specs_for(sheet.model, sheet.n):
         wave = theta_values_from_sheet(spec, sheet)
         assert wave.shape == sheet.blocks.shape
-        want = _reference_wave(spec, sheet_field(sheet).values)
+        want = _reference_wave(spec, sheet_field(sheet))
         assert _same_bytes(sheet.on_cells(wave), want), spec.kind
         assert _same_bytes(theta_values_from_sheet(spec, blind), want), spec.kind
         theta = realize_theta(spec, lat, seed)
-        assert _same_bytes(theta.values, _reference_theta(spec, sheet_field(sheet).values, lat))
+        assert _same_bytes(theta, _reference_theta(spec, sheet_field(sheet), lat))
 
 
 @pytest.mark.parametrize("m, n", [(7, 40.0), (64, 400.0)])
@@ -189,10 +189,10 @@ def test_sheets_without_counts_take_the_elementwise_path():
         assert sheet.blocks.dtype == np.float64 and sheet.blocks.shape == (16, 16)
         assert all(np.array_equal(ends, cells) for ends in sheet.block_ends)
         for spec in _specs_for(model, 100.0):
-            want = _reference_wave(spec, sheet_field(sheet).values)
+            want = _reference_wave(spec, sheet_field(sheet))
             assert _same_bytes(theta_values_from_sheet(spec, sheet), want), spec.kind
             theta = realize_theta(spec, lat, seed=5)
-            assert _same_bytes(theta.values, _reference_theta(spec, sheet_field(sheet).values, lat))
+            assert _same_bytes(theta, _reference_theta(spec, sheet_field(sheet), lat))
 
 
 def test_wave_envelope_bound_holds_pointwise():
@@ -200,7 +200,7 @@ def test_wave_envelope_bound_holds_pointwise():
     spec = levy_cos(unit_jump_poisson(), 200.0, 1.0)
     th = realize_theta(spec, lat, seed=77)
     bound = spec.normalizer() * _envelope(200.0, lat)
-    assert np.all(np.abs(th.values) <= bound * (1.0 + 1e-12))
+    assert np.all(np.abs(th) <= bound * (1.0 + 1e-12))
 
 
 def test_realization_determinism():
@@ -208,9 +208,9 @@ def test_realization_determinism():
     spec = levy_cos(unit_jump_poisson(), 100.0, 1.0)
     a = realize_theta(spec, lat, seed=5)
     b = realize_theta(spec, lat, seed=5)
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a, b)
     c = realize_theta(spec, lat, seed=6)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 # -- integration ---------------------------------------------------------------
@@ -221,16 +221,11 @@ def test_integrate_field_cumulative_midpoint_sums():
     spec = kac_stroock(10.0)
     th = realize_theta(spec, lat, seed=9)
     zeta = integrate_field(th)
-    assert zeta.node_kind == "corner"
+    assert zeta.shape == (4, 4)
     # zeta(1, 1) is the full midpoint sum with uniform weight 1/M^2
-    assert zeta.value_at(1.0, 1.0) == pytest.approx(th.values.sum() / 16.0, rel=1e-14)
+    assert zeta[3, 3] == pytest.approx(th.sum() / 16.0, rel=1e-14)
     # zeta at interior corner (i/M, j/M) sums the first i x j cells
-    assert zeta.value_at(0.5, 0.75) == pytest.approx(
-        th.values[:2, :3].sum() / 16.0, rel=1e-14
-    )
-    assert zeta.value_at(0.0, 1.0) == 0.0
-    with pytest.raises(OutOfRange):
-        integrate_field(zeta)  # already corner-node
+    assert zeta[1, 2] == pytest.approx(th[:2, :3].sum() / 16.0, rel=1e-14)
 
 
 def test_parity_primitive_variance_near_product():
@@ -242,7 +237,7 @@ def test_parity_primitive_variance_near_product():
     vals = np.empty(r)
     for i in range(r):
         th = realize_theta(spec, lat, seed=mix64(2718, i))
-        vals[i] = th.values.sum() / (128.0 * 128.0)
+        vals[i] = th.sum() / (128.0 * 128.0)
     second = vals**2
     se = second.std(ddof=1) / math.sqrt(r)
     assert abs(second.mean() - 1.0) <= max(5.0 * se, 0.05)

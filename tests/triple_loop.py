@@ -12,18 +12,17 @@ one term at a time, against which the library's two dense matrix products
 are checked."""
 import numpy as np
 
-from sheetforge import GridField, Lattice, quadrature_rows
+from sheetforge import quadrature_rows
 from sheetforge.theta import _jump_values
 
 
-def sheet_field(sheet) -> GridField:
-    """The sheet values L on the M x M cells as a midpoint field: h N for a
-    count sheet (+0.0 where N = 0), the float blocks otherwise."""
+def sheet_field(sheet) -> np.ndarray:
+    """The sheet values L on the M x M cells: h N for a count sheet (+0.0
+    where N = 0), the float blocks otherwise."""
     per_block = sheet.blocks
     if per_block.dtype == np.int64:
         per_block = _jump_values(sheet.model.jump_dist.h, per_block)
-    values = sheet.on_cells(per_block)
-    return GridField(Lattice(len(values)), values, meta={"n": sheet.n, "seed": sheet.seed})
+    return sheet.on_cells(per_block)
 
 
 def reference_wave(spec, sheet_values) -> np.ndarray:
@@ -46,9 +45,8 @@ def reference_theta(spec, sheet_values, lattice) -> np.ndarray:
 
 def triple_loop_field(theta, k1, k2, grid) -> np.ndarray:
     """X_n on the grid from the same quadrature rows as build_approximation,
-    summed by explicit loops over the lattice."""
-    vals = theta.values
-    m = theta.field.lattice.m
+    summed by explicit loops over the M x M midpoint field theta."""
+    m = theta.shape[0]
     a = quadrature_rows(k1, m, grid.s_points)
     b = quadrature_rows(k2, m, grid.t_points)
     x = np.empty((len(grid.s_points), len(grid.t_points)))
@@ -57,6 +55,6 @@ def triple_loop_field(theta, k1, k2, grid) -> np.ndarray:
             acc = 0.0
             for i in range(m):
                 for j in range(m):
-                    acc += a[k, i] * vals[i, j] * b[l, j]
+                    acc += a[k, i] * theta[i, j] * b[l, j]
             x[k, l] = acc
     return x
