@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr, smirnov
 
 from .approx import EvalGrid, quadrature_rows, window_quadrature_rows
 from .errors import (
@@ -747,6 +746,8 @@ def _kolmogorov_sf(n: int, d: float) -> float:
     which implements the same paper, so the result has its bytes."""
     if n <= 140:
         raise OutOfRange(f"the KS survival function here needs n > 140, got {n}")
+    from scipy import special  # here, so runs without the KS probe never load scipy
+
     # A 0-d array, the operand scipy's kolmogn iterates with: x**1.5 must
     # run through the same power loop.
     x = np.asarray(d, dtype=np.float64)
@@ -763,11 +764,11 @@ def _kolmogorov_sf(n: int, d: float) -> float:
     elif t >= n - 1:  # Ruben-Gambino: P(D_n >= x) = 2 (1 - x)^n
         sf = 2 * (1.0 - x) ** n
     elif x >= 0.5:  # exact: the two one-sided tails cannot both be crossed
-        sf = 2 * smirnov(n, x)
+        sf = 2 * special.smirnov(n, x)
     elif t * x >= 370.0:
         return 0.0
     elif t * x >= 2.2:  # Miller's approximation
-        sf = 2 * smirnov(n, x)
+        sf = 2 * special.smirnov(n, x)
     elif n <= 100000 and n * x**1.5 <= 1.4:
         sf = 1.0 - _durbin_cdf(n, x)
     else:
@@ -788,8 +789,10 @@ def gaussianity_test(samples: np.ndarray, sigma2_theory: float) -> GaussianityRe
         raise OutOfRange(f"sigma2_theory={sigma2_theory} must be positive and finite")
     if not np.all(np.isfinite(samples)):
         raise OutOfRange("gaussianity test needs finite samples")
+    from scipy import special
+
     n = samples.size
-    cdf = ndtr(np.sort(samples / math.sqrt(sigma2_theory)))
+    cdf = special.ndtr(np.sort(samples / math.sqrt(sigma2_theory)))
     d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
     d_minus = np.max(cdf - np.arange(0.0, n) / n)
     d = d_plus if d_plus > d_minus else d_minus

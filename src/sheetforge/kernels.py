@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple, Union, get_args
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import OutOfRange, ProfileViolation
 from .jsonio import JsonObject, decode_kind
@@ -73,8 +72,10 @@ def volterra_constant(alpha: float) -> float:
     """
     if not (0.0 < alpha < 1.0):
         raise OutOfRange(f"alpha={alpha} must lie in (0, 1)")
-    num = 2.0 * alpha * _gamma(1.5 - alpha)
-    den = _gamma(alpha + 0.5) * _gamma(2.0 - 2.0 * alpha)
+    from scipy import special  # here, so Indicator-kernel runs never load scipy
+
+    num = 2.0 * alpha * special.gamma(1.5 - alpha)
+    den = special.gamma(alpha + 0.5) * special.gamma(2.0 - 2.0 * alpha)
     return math.sqrt(num / den)
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+# numpy loads np.random on first use: load it with this module, in a run's set-up
+from numpy import random
 
 from .errors import OutOfRange
 from .levy import Deterministic, GaussianJump, LevyModel, TwoPoint
@@ -145,7 +147,7 @@ def simulate_sheet(model: LevyModel, n: float, lattice: Lattice, seed: int) -> S
     if not (math.isfinite(n) and n > 0):
         raise OutOfRange(f"n={n} must be finite and > 0")
     m, rate, jd = lattice.m, model.jump_rate, model.jump_dist
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    rng = random.default_rng(random.PCG64(seed))
     fixed = model.sigma == model.drift == 0.0 and rate > 0.0 and isinstance(jd, Deterministic)
     if fixed:
         total = rng.poisson(rate * n * (1.0 - 0.5 / m) ** 2)

@@ -205,7 +205,7 @@ def test_approx_field_json_round_trip(tmp_path):
     grid = EvalGrid.square((0.25, 0.5, 1.0))
     x = build_approximation(theta, FbmVolterra(0.6), Indicator(), grid)
     text = (tmp_path / "approx_field.json").read_text()
-    assert not text.endswith("\n")
+    assert text.endswith("}\n")
     obj = json.loads(text)
     assert obj["schema"] == "sheetforge/approxfield/1"
     assert obj["grid"] == {"s_points": [0.25, 0.5, 1.0], "t_points": [0.25, 0.5, 1.0]}

@@ -1002,14 +1002,15 @@ def _spy(real, label, calls):
 def test_kolmogorov_sf_matches_scipy_bit_for_bit(n, region, monkeypatch):
     """The in-house two-sided KS survival function gives the bytes of
     scipy.stats.kstwo.sf in every region, through the method of that region."""
-    from scipy import stats
+    from scipy import special, stats
 
     d_of_n, method = KS_REGIONS[region]
     d = d_of_n(n)
     assert _ks_region(n, d) == region
     called = []
-    for name, label in (("smirnov", "smirnov"), ("_durbin_cdf", "durbin"),
-                        ("_pelz_good_cdf", "pelz-good")):
+    # _kolmogorov_sf looks smirnov up on scipy.special at call time
+    monkeypatch.setattr(special, "smirnov", _spy(special.smirnov, "smirnov", called))
+    for name, label in (("_durbin_cdf", "durbin"), ("_pelz_good_cdf", "pelz-good")):
         monkeypatch.setattr(harness, name, _spy(getattr(harness, name), label, called))
     sf = harness._kolmogorov_sf(n, d)
     assert called == ([] if method is None else [method])
