@@ -105,12 +105,11 @@ def _dump_json(path: Path, obj) -> None:
 
 def _derived_constants(cfg: ExperimentConfig) -> dict:
     derived: dict = {"zero_mean_estimator": _resolve_zero_mean(cfg)}
-    if cfg.theta_kind in ("LevyCos", "LevySin"):
-        derived["normalizing_constant"] = normalizing_constant(cfg.model, cfg.angle)
-        derived["min_real_exponent"] = min_real_exponent(
-            cfg.model, cfg.angle, cfg.m_guard
-        )
-    for name, k in (("kernel1", cfg.k1), ("kernel2", cfg.k2)):
+    t = cfg.theta
+    if t.kind in ("LevyCos", "LevySin"):
+        derived["normalizing_constant"] = normalizing_constant(t.model, t.angle)
+        derived["min_real_exponent"] = min_real_exponent(t.model, t.angle, t.m_guard)
+    for name, k in (("kernel1", cfg.kernel1), ("kernel2", cfg.kernel2)):
         if isinstance(k, FbmVolterra):
             derived[f"volterra_constant_{name}"] = volterra_constant(k.alpha)
     return derived
@@ -137,7 +136,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> list:
     spec = cfg.spec_for_n(cfg.n_schedule[-1])
     seed = mix64(cfg.master_seed, 0)
     theta = realize_theta(spec, Lattice(m), seed)
-    field = build_approximation(theta, cfg.k1, cfg.k2, grid)
+    field = build_approximation(theta, cfg.kernel1, cfg.kernel2, grid)
     tags = f"seed={seed} theta_kind={spec.kind}"
     _write_rows(out / "theta_field.csv",
                 f"# sheetforge gridfield v1 m={m} node_kind=midpoint {tags}", theta.tolist())
@@ -145,8 +144,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> list:
                 f"# sheetforge gridfield v1 integrated=True m={m} node_kind=corner {tags}",
                 integrate_field(theta).tolist())
     provenance = {
-        "k1": cfg.k1.to_json_obj(),
-        "k2": cfg.k2.to_json_obj(),
+        "k1": cfg.kernel1.to_json_obj(),
+        "k2": cfg.kernel2.to_json_obj(),
         "lattice_m": m,
         "seed": seed,
         "theta_spec": spec.to_json_obj(),
@@ -162,7 +161,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _covariance_outputs(cfg, reps, pts, zero_mean, out: Path, stem: str) -> dict:
-    theo = theoretical_covariance(cfg.k1, cfg.k2, pts)
+    theo = theoretical_covariance(cfg.kernel1, cfg.kernel2, pts)
     report = empirical_covariance(reps.values, pts, theo, zero_mean)
     _dump_json(out / f"{stem}.json", report.to_json_obj())
     with open(out / f"{stem}.txt", "w") as fh:
@@ -184,11 +183,11 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
     zero_mean = _resolve_zero_mean(cfg)
     files: list = []
     if "independence" in wanted:
-        if cfg.theta_kind != "LevyCos":
+        if cfg.theta.kind != "LevyCos":
             raise ConfigError("independence probe requires a LevyCos theta spec")
-        sin_spec = levy_sin(cfg.model, n, cfg.angle, cfg.m_guard)
+        sin_spec = levy_sin(cfg.theta.model, n, cfg.theta.angle, cfg.theta.m_guard)
         reps, reps_sin = generate_coupled_replicates(
-            spec, sin_spec, cfg.k1, cfg.k2, cfg.eval_grid, lattice,
+            spec, sin_spec, cfg.kernel1, cfg.kernel2, cfg.eval_grid, lattice,
             cfg.replicates, cfg.master_seed,
         )
         indep = independence_probe(reps, reps_sin)
@@ -196,7 +195,7 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
         files.append("independence.json")
     else:
         reps = generate_replicates(
-            spec, cfg.k1, cfg.k2, cfg.eval_grid, lattice,
+            spec, cfg.kernel1, cfg.kernel2, cfg.eval_grid, lattice,
             cfg.replicates, cfg.master_seed,
         )
     pts = grid_points(cfg.eval_grid)
@@ -206,7 +205,7 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
     if "gaussianity" in wanted:
         target = (cfg.eval_grid.s_points[-1], cfg.eval_grid.t_points[-1])
         idx = pts.index(target)
-        sigma2 = float(theoretical_covariance(cfg.k1, cfg.k2, [target])[0, 0])
+        sigma2 = float(theoretical_covariance(cfg.kernel1, cfg.kernel2, [target])[0, 0])
         gauss = gaussianity_test(reps.values[:, idx], sigma2)
         obj = gauss.to_json_obj()
         obj["point"] = list(target)
@@ -219,8 +218,8 @@ def _cmd_kernel_table(cfg: ExperimentConfig, out: Path) -> list:
     mids = Lattice(cfg.lattice_m).midpoints()
     header = "t\\r," + ",".join(map(repr, mids.tolist()))
     for name, spec, points in (
-        ("kernel1_matrix.csv", cfg.k1, cfg.eval_grid.s_points),
-        ("kernel2_matrix.csv", cfg.k2, cfg.eval_grid.t_points),
+        ("kernel1_matrix.csv", cfg.kernel1, cfg.eval_grid.s_points),
+        ("kernel2_matrix.csv", cfg.kernel2, cfg.eval_grid.t_points),
     ):
         mat = kernel_matrix(spec, points, mids).tolist()
         _write_rows(out / name, header, ([t, *row] for t, row in zip(points, mat)))
@@ -235,8 +234,8 @@ def _cmd_kernel_table(cfg: ExperimentConfig, out: Path) -> list:
     with open(out / "l2_identity.csv", "w") as fh:
         fh.write("kernel,s,s2,increment_l2,closed_form,rel_err\n")
         for name, spec, points in (
-            ("kernel1", cfg.k1, cfg.eval_grid.s_points),
-            ("kernel2", cfg.k2, cfg.eval_grid.t_points),
+            ("kernel1", cfg.kernel1, cfg.eval_grid.s_points),
+            ("kernel2", cfg.kernel2, cfg.eval_grid.t_points),
         ):
             pts = [0.0, *points]
             for s, s2 in zip(pts, pts[1:]):
@@ -260,7 +259,7 @@ def _cmd_check_hypotheses(cfg: ExperimentConfig, out: Path) -> list:
     files: list = []
     if "profiles" in wanted:
         report = {}
-        for name, k in (("kernel1", cfg.k1), ("kernel2", cfg.k2)):
+        for name, k in (("kernel1", cfg.kernel1), ("kernel2", cfg.kernel2)):
             prof = default_profile(k)
             if prof.regime == "windowed" and prof.m_bound is None:
                 m_bound, beta = fit_window_profile(k, _PROFILE_PAIRS, _PROFILE_WINDOWS)
@@ -291,7 +290,7 @@ def _cmd_check_hypotheses(cfg: ExperimentConfig, out: Path) -> list:
     if "window-scaling" in wanted:
         ws = cfg.window_scaling or _DEFAULT_WINDOW_SCALING
         rep = window_scaling_probe(
-            spec, cfg.k1, cfg.k2, ws.m_order, ws.base_rect, ws.windows,
+            spec, cfg.kernel1, cfg.kernel2, ws.m_order, ws.base_rect, ws.windows,
             lattice, cfg.replicates, mix64(cfg.master_seed, 900),
             predicted_gamma=ws.gamma,
         )
@@ -306,13 +305,13 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> list:
     lattice = Lattice(cfg.lattice_m)
     zero_mean = _resolve_zero_mean(cfg)
     pts = grid_points(cfg.eval_grid)
-    theo = theoretical_covariance(cfg.k1, cfg.k2, pts)
+    theo = theoretical_covariance(cfg.kernel1, cfg.kernel2, pts)
     files: list = []
     trend = []
     for i, n in enumerate(cfg.n_schedule):
         spec = cfg.spec_for_n(n)
         reps = generate_replicates(
-            spec, cfg.k1, cfg.k2, cfg.eval_grid, lattice,
+            spec, cfg.kernel1, cfg.kernel2, cfg.eval_grid, lattice,
             cfg.replicates, mix64(cfg.master_seed, 10_000 + i),
         )
         report = empirical_covariance(reps.values, pts, theo, zero_mean)

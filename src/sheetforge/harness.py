@@ -282,13 +282,12 @@ def _product_moments(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarr
 
 @dataclass
 class ReplicateSet:
-    """Values of the approximating field at fixed points across replicates,
-    plus the provenance needed by downstream probes."""
+    """Values of the approximating field at fixed points across replicates.
+    coupled_group tags the two sets of one coupled cos/sin draw, which
+    independence_probe requires."""
 
     points: Tuple[Tuple[float, float], ...]
     values: np.ndarray
-    theta_spec: ThetaSpec
-    master_seed: int
     coupled_group: Optional[Tuple[int, str]] = None
 
     @property
@@ -353,7 +352,7 @@ def generate_replicates(
     a = quadrature_rows(k1, lattice.m, grid.s_points)
     b = quadrature_rows(k2, lattice.m, grid.t_points)
     out = _project_replicates((spec,), lattice, a, b, replicates, master_seed)
-    return ReplicateSet(grid_points(grid), out[0], spec, master_seed)
+    return ReplicateSet(grid_points(grid), out[0])
 
 
 def _check_coupled_pair(cos_spec: ThetaSpec, sin_spec: ThetaSpec) -> None:
@@ -390,8 +389,8 @@ def generate_coupled_replicates(
     pts = grid_points(grid)
     tag = (master_seed, "cos-sin-pair")
     return (
-        ReplicateSet(pts, out[0], cos_spec, master_seed, coupled_group=tag),
-        ReplicateSet(pts, out[1], sin_spec, master_seed, coupled_group=tag),
+        ReplicateSet(pts, out[0], coupled_group=tag),
+        ReplicateSet(pts, out[1], coupled_group=tag),
     )
 
 
@@ -415,8 +414,8 @@ class StepFunction(JsonObject):
             raise OutOfRange("breaks must be strictly increasing")
         if len(vals) != len(br) - 1:
             raise OutOfRange("need exactly one value per piece")
-        if not all(math.isfinite(v) for v in vals):
-            raise OutOfRange("step values must be finite")
+        if not all(math.isfinite(v) for v in br + vals):
+            raise OutOfRange("step breaks and values must be finite")
         object.__setattr__(self, "breaks", br)
         object.__setattr__(self, "values", vals)
 

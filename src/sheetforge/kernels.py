@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union, get_args
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import OutOfRange, ProfileViolation
-from .jsonio import JsonObject, decode_kind
+from .jsonio import JsonObject
 from .quadrature import depth_for_power, dyadic_unit_nodes, graded_nodes
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "Goursat",
     "LipschitzDiff",
     "KernelSpec",
-    "kernel_from_json_obj",
     "volterra_constant",
     "eval_kernel",
     "kernel_row",
@@ -152,12 +151,6 @@ class LipschitzDiff(JsonObject):
 
 
 KernelSpec = Union[FbmVolterra, Indicator, HolmgrenRL, Goursat, LipschitzDiff]
-
-KERNEL_KINDS = {cls.KIND: cls for cls in get_args(KernelSpec)}
-
-
-def kernel_from_json_obj(obj: dict) -> KernelSpec:
-    return decode_kind(obj, KERNEL_KINDS, "kernel")
 
 
 # -- evaluation -----------------------------------------------------------

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Union, get_args
+from dataclasses import dataclass
+from typing import Union
 
 from .errors import DegenerateAngle, OutOfRange
-from .jsonio import JsonObject, decode, decode_kind
+from .jsonio import JsonObject
 
 __all__ = [
     "Deterministic",
@@ -95,12 +95,6 @@ class GaussianJump(JsonObject):
 
 JumpDist = Union[Deterministic, TwoPoint, GaussianJump]
 
-JUMP_KINDS = {cls.KIND: cls for cls in get_args(JumpDist)}
-
-
-def jump_dist_from_json_obj(obj: dict) -> JumpDist:
-    return decode_kind(obj, JUMP_KINDS, "jump_dist")
-
 
 @dataclass(frozen=True)
 class LevyModel(JsonObject):
@@ -114,7 +108,7 @@ class LevyModel(JsonObject):
     sigma: float = 0.0
     drift: float = 0.0
     jump_rate: float = 0.0
-    jump_dist: JumpDist | None = field(default=None, metadata={"registry": JUMP_KINDS})
+    jump_dist: JumpDist | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
@@ -125,10 +119,6 @@ class LevyModel(JsonObject):
             raise OutOfRange(f"jump_rate={self.jump_rate} must be finite and >= 0")
         if self.jump_rate > 0.0 and self.jump_dist is None:
             raise OutOfRange("jump_rate > 0 requires a jump_dist")
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LevyModel":
-        return decode(cls, obj, "model")
 
 
 @dataclass(frozen=True)

@@ -459,6 +459,11 @@ def test_malformed_thread_count_exits_2(tmp_path, capsys):
     ('probes="covariance"', "probes"),
     ("bilinear_pairs=5", "bilinear_pairs"),
     ("output_dir=5", "output_dir"),
+    ('theta.model.jump_rate="2"', "jump_rate"),
+    ('window_scaling={"m_order":2,"base_rect":[0,1,0,1],"windows":[[0.4,0.5,0.4,0.5]],'
+     '"gamma":NaN}', "window_scaling.gamma"),
+    ('bilinear_pairs=[[{"breaks":[0,NaN,1],"values":[1,2]},{"breaks":[0,1],"values":[1]}]]',
+     "breaks"),
 ])
 def test_malformed_config_values_exit_2(override, field, tmp_path, capsys):
     """Values of the wrong type or range are a ConfigError naming the field
@@ -552,6 +557,29 @@ def test_seed_flag_is_recorded_as_an_override(tmp_path, capsys):
     prov = _provenance(out)
     assert prov["overrides"][-1] == "master_seed=999"
     assert prov["config"]["master_seed"] == 999
+
+
+def test_seed_must_fit_in_64_bits(tmp_path, capsys):
+    """mix64 reads the seed modulo 2**64, so 2**64 + 5 would replay seed 5
+    while provenance recorded another seed: 2**64 is refused, 2**64 - 1 runs."""
+    argv = ["simulate", "--preset", "brownian-baseline", *SMALL]
+    code, payload = _cli(capsys, argv + ["--seed", str(2**64), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert "master_seed" in payload["error"]["message"]
+    assert not (tmp_path / "o").exists()
+
+    out = tmp_path / "top"
+    code, _ = _cli(capsys, argv + ["--seed", str(2**64 - 1), "--out", str(out)])
+    assert code == 0
+    assert _provenance(out)["config"]["master_seed"] == 2**64 - 1
+
+
+def test_empty_bilinear_pairs_are_written_as_null():
+    obj = dict(preset("fbm-wave"), bilinear_pairs=[])
+    cfg = config_from_json_obj(obj)
+    assert cfg.bilinear_pairs is None
+    assert cfg.to_json_obj()["bilinear_pairs"] is None
 
 
 # -- determinism --------------------------------------------------------------

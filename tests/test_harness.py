@@ -271,9 +271,8 @@ def test_reductions_hold_no_replicate_by_pair_array():
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal((2, 2000, 144))
     pts, theory = _points(144), np.zeros((144, 144))
-    spec = levy_cos(unit_jump_poisson(), 100.0, 1.0)
-    first = ReplicateSet(pts, a, spec, 1, coupled_group=(1, "cos-sin-pair"))
-    second = ReplicateSet(pts, b, spec, 1, coupled_group=(1, "cos-sin-pair"))
+    first = ReplicateSet(pts, a, coupled_group=(1, "cos-sin-pair"))
+    second = ReplicateSet(pts, b, coupled_group=(1, "cos-sin-pair"))
     runs = (
         lambda: empirical_covariance(a, pts, theory, zero_mean=True),
         lambda: empirical_covariance(a, pts, theory, zero_mean=False),
@@ -397,8 +396,8 @@ def _small_reports():
     rng = np.random.default_rng(5)
     pts = ((0.5, 0.5), (1.0, 1.0))
     tag = (1, "cos-sin-pair")
-    first, second = (ReplicateSet(pts, rng.standard_normal((20, 2)), kac_stroock(4.0), 1,
-                                  coupled_group=tag) for _ in range(2))
+    first, second = (ReplicateSet(pts, rng.standard_normal((20, 2)), coupled_group=tag)
+                     for _ in range(2))
     step = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
     windows = ((0.4, 0.5, 0.4, 0.5), (0.4, 0.7, 0.4, 0.7))
     return {
@@ -755,6 +754,8 @@ def test_step_function_norm_and_sampling():
         StepFunction(breaks=(0.0, 0.5, 0.5, 1.0), values=(1.0, 2.0, 3.0))
     with pytest.raises(OutOfRange):
         StepFunction(breaks=(0.0, 1.0), values=(1.0, 2.0))
+    with pytest.raises(OutOfRange):
+        StepFunction(breaks=(0.0, math.nan, 1.0), values=(1.0, 2.0))
 
 
 def test_bilinear_probe_second_moment_matches_exact_parity_formula():

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -22,13 +23,15 @@ from sheetforge import (
     eval_kernel,
     fit_window_profile,
     increment_l2,
-    kernel_from_json_obj,
     kernel_matrix,
     kernel_row,
     volterra_constant,
     windowed_increment_l2,
 )
-from sheetforge.kernels import KERNEL_KINDS
+from sheetforge.jsonio import decode_kind
+from sheetforge.kernels import KernelSpec
+
+KERNEL_KINDS = {cls.KIND: cls for cls in typing.get_args(KernelSpec)}
 
 # oracle-frozen constants: 50-digit quadrature/special-function evaluation of
 # the normalizing constant and of kernel point values, rounded to float64
@@ -308,24 +311,24 @@ def test_kernel_json_round_trip():
     for spec in specs:
         obj = json.loads(json.dumps(spec.to_json_obj()))
         assert KERNEL_KINDS[obj["kind"]] is type(spec)
-        assert kernel_from_json_obj(obj) == spec
+        assert decode_kind(KernelSpec, obj, "kernel") == spec
 
 
 def test_kernel_json_rejects_bad_objects():
     for kind in ("mystery", ["indicator"], None):
         with pytest.raises(ConfigError):
-            kernel_from_json_obj({"kind": kind})
+            decode_kind(KernelSpec, {"kind": kind}, "kernel")
     for kind in KERNEL_KINDS:
         obj = _kernel_example(kind).to_json_obj()
         with pytest.raises(ConfigError):
-            kernel_from_json_obj(dict(obj, bogus=0.5))
+            decode_kind(KernelSpec, dict(obj, bogus=0.5), "kernel")
         with pytest.raises(ConfigError):
-            kernel_from_json_obj({k: v for k, v in obj.items() if k != "kind"})
+            decode_kind(KernelSpec, {k: v for k, v in obj.items() if k != "kind"}, "kernel")
         required = (f.name for f in dataclasses.fields(KERNEL_KINDS[kind])
                     if f.default is dataclasses.MISSING)
         for name in required:
             with pytest.raises(ConfigError):
-                kernel_from_json_obj({k: v for k, v in obj.items() if k != name})
+                decode_kind(KernelSpec, {k: v for k, v in obj.items() if k != name}, "kernel")
 
 
 def test_kernel_spec_validation():

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from sheetforge import (
     normalizing_constant,
     unit_jump_poisson,
 )
-from sheetforge.levy import JUMP_KINDS, jump_dist_from_json_obj
+from sheetforge.jsonio import decode, decode_kind
+from sheetforge.levy import JumpDist
 from sheetforge.sheet import sample_increments
 
 # oracle-frozen constants (brute-force minimum over k of the real exponent
@@ -194,7 +196,8 @@ def test_jump_dist_validation():
 
 
 def test_model_json_round_trip():
-    jumps = (cls(**{f.name: 0.5 for f in dataclasses.fields(cls)}) for cls in JUMP_KINDS.values())
+    jumps = (cls(**{f.name: 0.5 for f in dataclasses.fields(cls)})
+             for cls in typing.get_args(JumpDist))
     models = (
         unit_jump_poisson(),
         LevyModel(sigma=1.0, drift=-0.5, jump_rate=2.0,
@@ -206,15 +209,15 @@ def test_model_json_round_trip():
     )
     for model in models:
         blob = json.dumps(model.to_json_obj())
-        assert LevyModel.from_json_obj(json.loads(blob)) == model
+        assert decode(LevyModel, json.loads(blob), "model") == model
 
 
 def test_model_json_rejects_unknown_fields():
     obj = unit_jump_poisson().to_json_obj()
     obj["extra"] = 1
     with pytest.raises(ConfigError):
-        LevyModel.from_json_obj(obj)
+        decode(LevyModel, obj, "model")
     with pytest.raises(ConfigError):
-        jump_dist_from_json_obj({"kind": "deterministic", "h": 1.0, "x": 2})
+        decode_kind(JumpDist, {"kind": "deterministic", "h": 1.0, "x": 2}, "jump_dist")
     with pytest.raises(ConfigError):
-        jump_dist_from_json_obj({"kind": "unheard-of"})
+        decode_kind(JumpDist, {"kind": "unheard-of"}, "jump_dist")
