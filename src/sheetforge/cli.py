@@ -51,7 +51,6 @@ from .harness import (
 )
 from .kernels import (
     FbmVolterra,
-    Indicator,
     check_profile,
     default_profile,
     fit_window_profile,
@@ -160,17 +159,14 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> list:
     return ["theta_field.csv", "zeta_field.csv", "approx_field.csv", "approx_field.json"]
 
 
-def _covariance_outputs(cfg, reps, pts, zero_mean, out: Path, stem: str) -> dict:
+def _covariance_outputs(cfg, reps, pts, zero_mean, out: Path, stem: str) -> list:
     theo = theoretical_covariance(cfg.kernel1, cfg.kernel2, pts)
     report = empirical_covariance(reps.values, pts, theo, zero_mean)
     _dump_json(out / f"{stem}.json", report.to_json_obj())
     with open(out / f"{stem}.txt", "w") as fh:
         fh.write(report.to_text())
     report.to_csv(out / f"{stem}.csv")
-    return {
-        "report": report,
-        "files": [f"{stem}.json", f"{stem}.txt", f"{stem}.csv"],
-    }
+    return [f"{stem}.json", f"{stem}.txt", f"{stem}.csv"]
 
 
 def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
@@ -200,8 +196,7 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
         )
     pts = grid_points(cfg.eval_grid)
     if "covariance" in wanted:
-        result = _covariance_outputs(cfg, reps, pts, zero_mean, out, "covariance_report")
-        files.extend(result["files"])
+        files.extend(_covariance_outputs(cfg, reps, pts, zero_mean, out, "covariance_report"))
     if "gaussianity" in wanted:
         target = (cfg.eval_grid.s_points[-1], cfg.eval_grid.t_points[-1])
         idx = pts.index(target)
@@ -223,14 +218,6 @@ def _cmd_kernel_table(cfg: ExperimentConfig, out: Path) -> list:
     ):
         mat = kernel_matrix(spec, points, mids).tolist()
         _write_rows(out / name, header, ([t, *row] for t, row in zip(points, mat)))
-
-    def closed_form(spec, s, s2):
-        if isinstance(spec, FbmVolterra):
-            return abs(s2 - s) ** (2.0 * spec.alpha)
-        if isinstance(spec, Indicator):
-            return abs(s2 - s)
-        return None
-
     with open(out / "l2_identity.csv", "w") as fh:
         fh.write("kernel,s,s2,increment_l2,closed_form,rel_err\n")
         for name, spec, points in (
@@ -240,10 +227,12 @@ def _cmd_kernel_table(cfg: ExperimentConfig, out: Path) -> list:
             pts = [0.0, *points]
             for s, s2 in zip(pts, pts[1:]):
                 val = increment_l2(spec, s, s2)
-                ref = closed_form(spec, s, s2)
-                if ref is None:
+                if spec.covariance is None:
                     fh.write(f"{name},{s!r},{s2!r},{val!r},,\n")
                 else:
+                    # the closed-form kernels (Brownian, fBm) have stationary
+                    # increments: int (dK)^2 = |s2 - s|^power
+                    ref = abs(s2 - s) ** spec.power
                     rel = abs(val - ref) / ref if ref else 0.0
                     fh.write(f"{name},{s!r},{s2!r},{val!r},{ref!r},{rel!r}\n")
     return ["kernel1_matrix.csv", "kernel2_matrix.csv", "l2_identity.csv"]

@@ -28,8 +28,6 @@ __all__ = [
     "ExperimentConfig",
     "ThetaSettings",
     "WindowScalingSettings",
-    "load_config",
-    "loads_config",
     "apply_overrides",
     "preset",
     "PRESET_NAMES",
@@ -122,25 +120,9 @@ class ExperimentConfig(JsonObject):
         return ThetaSpec(t.kind, n, t.model, t.angle if wave else None,
                          t.m_guard if wave else None)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=1) + "\n"
-
 
 def config_from_json_obj(obj: dict) -> ExperimentConfig:
     return decode(ExperimentConfig, obj, "config")
-
-
-def loads_config(text: str) -> ExperimentConfig:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_json_obj(obj)
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return loads_config(fh.read())
 
 
 def _parse_override_value(raw: str):

@@ -24,13 +24,7 @@ from .errors import (
     UncoupledInputs,
 )
 from .jsonio import JsonObject
-from .kernels import (
-    FbmVolterra,
-    Indicator,
-    KernelSpec,
-    kernel_row,
-    l2_quadrature_nodes,
-)
+from .kernels import KernelSpec, kernel_row, l2_quadrature_nodes
 from .levy import exponent, normalizing_constant
 from .sheet import Lattice, mix64, simulate_sheet
 from .theta import ThetaSpec, theta_values_from_sheet
@@ -89,18 +83,14 @@ def grid_points(grid: EvalGrid) -> Tuple[Tuple[float, float], ...]:
 def axis_inner_product(spec: KernelSpec, s: float, s2: float) -> float:
     """One-axis factor int_0^1 K(s, u) K(s2, u) du of the limit covariance.
 
-    Closed forms: Indicator -> min(s, s2); FbmVolterra(alpha) ->
-    (s^2a + s2^2a - |s2-s|^2a)/2 with a = alpha. Every other kernel takes
-    graded quadrature.
+    The kernel's closed-form covariance where it has one (Indicator,
+    FbmVolterra); graded quadrature otherwise.
     """
     if not (0.0 <= s <= 1.0 and 0.0 <= s2 <= 1.0):
         raise OutOfRange("points must lie in [0, 1]")
-    if isinstance(spec, Indicator):
-        return min(s, s2)
-    if isinstance(spec, FbmVolterra):
-        two_a = 2.0 * spec.alpha
-        return 0.5 * (s**two_a + s2**two_a - abs(s2 - s) ** two_a)
-    return _quadrature_inner_product(spec, s, s2)
+    if spec.covariance is None:
+        return _quadrature_inner_product(spec, s, s2)
+    return spec.covariance(s, s2)
 
 
 def _quadrature_inner_product(spec: KernelSpec, s: float, s2: float) -> float:

@@ -1,7 +1,10 @@
 """Deterministic Volterra-type kernels K(t, r) on [0,1]^2 and their
 L2-increment geometry.
 
-Supported families (all vanish for r >= t and for t = 0):
+Supported families (all vanish for r >= t and for t = 0). Each states its
+own facts (see KernelFamily): its values on the support 0 < r < t, the
+power of its squared increments, whether it is singular, and a closed-form
+covariance where there is one.
 
 * FbmVolterra(alpha): the square-integrable kernel representing fractional
   Brownian motion of index alpha as a Wiener integral,
@@ -38,6 +41,7 @@ __all__ = [
     "HolmgrenRL",
     "Goursat",
     "LipschitzDiff",
+    "KernelFamily",
     "KernelSpec",
     "volterra_constant",
     "eval_kernel",
@@ -78,8 +82,23 @@ def volterra_constant(alpha: float) -> float:
     return math.sqrt(num / den)
 
 
+class KernelFamily(JsonObject):
+    """What the package asks of a kernel family. A family defines
+    on_support(t, r), K(t, r) on an array of 0 < r < t, and overrides the
+    defaults below where they do not hold:
+    - power p: int_0^1 (K(s2, r) - K(s, r))^2 dr ~ (s2 - s)^p near the diagonal;
+    - singular: K(t, r)^2 ~ x^(power - 1) at its endpoints (x the distance
+      to the endpoint), so L2 quadrature grades its panels;
+    - covariance(s, s2): int_0^1 K(s, u) K(s2, u) du in closed form, or
+      None where only quadrature gives it."""
+
+    power = 1.0
+    singular = False
+    covariance = None
+
+
 @dataclass(frozen=True)
-class FbmVolterra(JsonObject):
+class FbmVolterra(KernelFamily):
     KIND = "fbm_volterra"
     alpha: float
 
@@ -87,24 +106,58 @@ class FbmVolterra(JsonObject):
         if not (0.0 < self.alpha < 1.0):
             raise OutOfRange(f"alpha={self.alpha} must lie in (0, 1)")
 
+    @property
+    def power(self) -> float:
+        return 2.0 * self.alpha
+
+    @property
+    def singular(self) -> bool:
+        return self.alpha != 0.5
+
+    def covariance(self, s: float, s2: float) -> float:
+        two_a = self.power
+        return 0.5 * (s**two_a + s2**two_a - abs(s2 - s) ** two_a)
+
+    def on_support(self, t: float, r: np.ndarray) -> np.ndarray:
+        alpha = self.alpha
+        c = volterra_constant(alpha)
+        vals = c * (t - r) ** (alpha - 0.5)
+        if alpha != 0.5:
+            vals = vals + c * (0.5 - alpha) * _fbm_inner(alpha, t, r)
+        return vals
+
 
 @dataclass(frozen=True)
-class Indicator(JsonObject):
+class Indicator(KernelFamily):
     KIND = "indicator"
 
+    def covariance(self, s: float, s2: float) -> float:
+        return min(s, s2)
+
+    def on_support(self, t: float, r: np.ndarray) -> np.ndarray:
+        return np.ones_like(r)
+
 
 @dataclass(frozen=True)
-class HolmgrenRL(JsonObject):
+class HolmgrenRL(KernelFamily):
     KIND = "holmgren_rl"
+    singular = True
     h: float
 
     def __post_init__(self):
         if not (0.0 < self.h < 1.0):
             raise OutOfRange(f"h={self.h} must lie in (0, 1)")
 
+    @property
+    def power(self) -> float:
+        return 2.0 * self.h
+
+    def on_support(self, t: float, r: np.ndarray) -> np.ndarray:
+        return math.sqrt(2.0 * math.pi) * (t - r) ** (self.h - 0.5)
+
 
 @dataclass(frozen=True)
-class Goursat(JsonObject):
+class Goursat(KernelFamily):
     """K(t, r) = sum_i g_i(t) h_i(r); each factor is a polynomial given by
     ascending coefficient tuples."""
 
@@ -125,9 +178,16 @@ class Goursat(JsonObject):
             norm.append((g, h))
         object.__setattr__(self, "terms", tuple(norm))
 
+    def on_support(self, t: float, r: np.ndarray) -> np.ndarray:
+        polyval = np.polynomial.polynomial.polyval  # ascending coefficients
+        acc = np.zeros_like(r)
+        for g, h in self.terms:
+            acc += polyval(np.array(t), g) * polyval(r, h)
+        return acc
+
 
 @dataclass(frozen=True)
-class LipschitzDiff(JsonObject):
+class LipschitzDiff(KernelFamily):
     """K(t, r) = h(t - r) with h piecewise linear through (xs, ys); the table
     must cover [0, 1]."""
 
@@ -148,6 +208,9 @@ class LipschitzDiff(JsonObject):
             raise OutOfRange("LipschitzDiff table must cover [0, 1]")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+
+    def on_support(self, t: float, r: np.ndarray) -> np.ndarray:
+        return np.interp(t - r, self.xs, self.ys)
 
 
 KernelSpec = Union[FbmVolterra, Indicator, HolmgrenRL, Goursat, LipschitzDiff]
@@ -183,10 +246,6 @@ def _fbm_inner(alpha: float, t: float, r: np.ndarray) -> np.ndarray:
     return 2.0 * V ** (2.0 * alpha - 1.0) * np.sum(vals * om[None, :], axis=-1)
 
 
-def _polyval_asc(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
-
-
 def kernel_row(spec: KernelSpec, t: float, r: np.ndarray) -> np.ndarray:
     """K(t, r) for an array of r values. eval_kernel and kernel_matrix both
     route through this function, so matrix rows are bit-identical to row
@@ -202,30 +261,8 @@ def kernel_row(spec: KernelSpec, t: float, r: np.ndarray) -> np.ndarray:
         raise OutOfRange("r values must lie in [0, 1]")
     out = np.zeros_like(r)
     mask = (r > 0.0) & (r < t)
-    if isinstance(spec, Indicator):
-        out[mask] = 1.0
-        return out
-    if not mask.any():
-        return out
-    rr = r[mask]
-    if isinstance(spec, FbmVolterra):
-        alpha = spec.alpha
-        c = volterra_constant(alpha)
-        vals = c * (t - rr) ** (alpha - 0.5)
-        if alpha != 0.5:
-            vals = vals + c * (0.5 - alpha) * _fbm_inner(alpha, t, rr)
-        out[mask] = vals
-    elif isinstance(spec, HolmgrenRL):
-        out[mask] = math.sqrt(2.0 * math.pi) * (t - rr) ** (spec.h - 0.5)
-    elif isinstance(spec, Goursat):
-        acc = np.zeros_like(rr)
-        for g, h in spec.terms:
-            acc += _polyval_asc(g, np.array(t)) * _polyval_asc(h, rr)
-        out[mask] = acc
-    elif isinstance(spec, LipschitzDiff):
-        out[mask] = np.interp(t - rr, spec.xs, spec.ys)
-    else:
-        raise OutOfRange(f"unsupported kernel spec {type(spec).__name__}")
+    if mask.any():
+        out[mask] = spec.on_support(t, r[mask])
     return out
 
 
@@ -245,31 +282,18 @@ def kernel_matrix(spec: KernelSpec, ts: Sequence[float], rs: np.ndarray) -> np.n
 # -- L2 increment geometry ------------------------------------------------
 
 
-def _singular_power(spec: KernelSpec) -> float | None:
-    """Exponent p such that K(t, r)^2 ~ C x^p near its singular endpoints
-    (x the distance to the endpoint); None when the kernel is bounded."""
-    if isinstance(spec, FbmVolterra):
-        if spec.alpha == 0.5:
-            return None
-        return 2.0 * spec.alpha - 1.0
-    if isinstance(spec, HolmgrenRL):
-        return 2.0 * spec.h - 1.0
-    return None
-
-
 def l2_quadrature_nodes(spec: KernelSpec, breaks: Sequence[float]):
     """Quadrature nodes/weights on [0, max(breaks)] split at every break
     point, graded toward panel ends when the kernel family is singular: the
     node sets of every L2 integral of a kernel family (also the covariance
     quadrature route)."""
     pts = sorted({b for b in breaks if b > 0.0})
-    power = _singular_power(spec)
-    if power is None:
-        depth, grade = 2, False
-    else:
-        # integrand of int (dK)^2 behaves like x^power at the worst endpoint
-        depth = depth_for_power(power, _OUTER_TOL, scale=4.0)
+    if spec.singular:
+        # integrand of int (dK)^2 behaves like x^(power - 1) at the worst endpoint
+        depth = depth_for_power(spec.power - 1.0, _OUTER_TOL, scale=4.0)
         grade = True
+    else:
+        depth, grade = 2, False
     nodes, wts = [], []
     lo = 0.0
     for hi in pts:
@@ -364,22 +388,11 @@ class IncrementProfile(JsonObject):
 
 
 def default_profile(spec: KernelSpec) -> IncrementProfile:
-    """The natural profile of each family; windowed constants (m_bound, beta)
-    are left unset and are fitted empirically when needed."""
-    if isinstance(spec, FbmVolterra):
-        if spec.alpha > 0.5:
-            return IncrementProfile("superlinear", GrowthFunction(), 2.0 * spec.alpha)
-        return IncrementProfile("windowed", GrowthFunction(), 2.0 * spec.alpha)
-    if isinstance(spec, Indicator):
-        return IncrementProfile("windowed", GrowthFunction(), 1.0)
-    if isinstance(spec, HolmgrenRL):
-        # squared increments scale like (s2-s)^(2h) near the diagonal
-        if spec.h > 0.5:
-            return IncrementProfile("superlinear", GrowthFunction(), 2.0 * spec.h)
-        return IncrementProfile("windowed", GrowthFunction(), 2.0 * spec.h)
-    # Goursat / LipschitzDiff: Lipschitz factors give squared increments
-    # O((s2-s)^1); declare windowed with exponent 1 by default.
-    return IncrementProfile("windowed", GrowthFunction(), 1.0)
+    """The natural profile of a family: its squared increments' power, in
+    the superlinear regime when that exceeds 1. Windowed constants
+    (m_bound, beta) are left unset and are fitted empirically when needed."""
+    regime = "superlinear" if spec.power > 1.0 else "windowed"
+    return IncrementProfile(regime, GrowthFunction(), spec.power)
 
 
 def fit_window_profile(

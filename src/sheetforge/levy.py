@@ -10,6 +10,9 @@ where phi_J is the jump-size characteristic function. Finite activity means
 no compensator is needed: drift is the literal per-area mean shift. We write
 Psi = a + i b; a >= 0 always, and a(xi) > 0 whenever the model has any
 randomness and phi_J(xi) != 1.
+
+Each jump law states its own facts: phi_J (char_function), and a draw of
+the sum of a given number of its jumps (add_jumps).
 """
 from __future__ import annotations
 
@@ -17,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import DegenerateAngle, OutOfRange
 from .jsonio import JsonObject
@@ -51,6 +56,11 @@ class Deterministic(JsonObject):
     def char_function(self, xi: float) -> complex:
         return cmath.exp(1j * xi * self.h)
 
+    def add_jumps(self, out: np.ndarray, counts: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+        """out plus the sum of counts jumps per entry (no draw)."""
+        return out + self.h * counts
+
 
 @dataclass(frozen=True)
 class TwoPoint(JsonObject):
@@ -73,6 +83,13 @@ class TwoPoint(JsonObject):
             1j * xi * self.h_minus
         )
 
+    def add_jumps(self, out: np.ndarray, counts: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+        """out plus the sum of counts jumps per entry: one binomial draw
+        gives how many of them are h_plus."""
+        ups = rng.binomial(counts, self.p)
+        return out + self.h_plus * ups + self.h_minus * (counts - ups)
+
 
 @dataclass(frozen=True)
 class GaussianJump(JsonObject):
@@ -91,6 +108,14 @@ class GaussianJump(JsonObject):
 
     def char_function(self, xi: float) -> complex:
         return cmath.exp(1j * xi * self.mu - 0.5 * self.tau**2 * xi**2)
+
+    def add_jumps(self, out: np.ndarray, counts: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+        """out plus the sum of counts jumps per entry: the sum of k iid
+        N(mu, tau^2) is exactly N(k mu, k tau^2), one standard normal each."""
+        return out + self.mu * counts + self.tau * np.sqrt(counts) * rng.standard_normal(
+            counts.shape
+        )
 
 
 JumpDist = Union[Deterministic, TwoPoint, GaussianJump]
@@ -142,12 +167,15 @@ def exponent(model: LevyModel, xi: float) -> ExponentValue:
     """
     if not math.isfinite(xi):
         raise OutOfRange("xi must be finite")
-    a = 0.5 * model.sigma**2 * xi * xi
-    b = -model.drift * xi
-    if model.jump_rate > 0.0:
-        phi = model.jump_dist.char_function(xi)
-        a += model.jump_rate * (1.0 - phi.real)
-        b -= model.jump_rate * phi.imag
+    try:
+        a = 0.5 * model.sigma**2 * xi * xi
+        b = -model.drift * xi
+        if model.jump_rate > 0.0:
+            phi = model.jump_dist.char_function(xi)
+            a += model.jump_rate * (1.0 - phi.real)
+            b -= model.jump_rate * phi.imag
+    except OverflowError:  # a float power beyond the float range
+        raise OutOfRange(f"the exponent at xi={xi} overflows for {model}") from None
     # 1 - Re phi can go infinitesimally negative through rounding; clamp.
     if a < 0.0:
         a = 0.0

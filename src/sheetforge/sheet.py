@@ -20,7 +20,7 @@ import numpy as np
 from numpy import random
 
 from .errors import OutOfRange
-from .levy import Deterministic, GaussianJump, LevyModel, TwoPoint
+from .levy import Deterministic, LevyModel
 
 __all__ = [
     "mix64",
@@ -86,8 +86,6 @@ class SheetSample:
     with on_cells or sum their quadrature rows per block."""
 
     model: LevyModel
-    n: float
-    seed: int
     blocks: np.ndarray
     block_ends: Tuple[np.ndarray, np.ndarray]
 
@@ -104,8 +102,8 @@ def sample_increments(model: LevyModel, areas: np.ndarray, rng: np.random.Genera
     Law per region: drift*A + sigma*N(0, A) + sum of Poisson(rate*A) jumps.
     The compound part draws the Poisson count, then samples the exact
     conditional law of the jump sum given the count (no moment-matched
-    normal shortcut). Draw order is fixed, so a given generator state maps
-    to one unique output."""
+    normal shortcut), which the jump law's add_jumps draws. Draw order is
+    fixed, so a given generator state maps to one unique output."""
     areas = np.asarray(areas, dtype=float)
     if np.any(areas < 0):
         raise OutOfRange("areas must be >= 0")
@@ -114,19 +112,7 @@ def sample_increments(model: LevyModel, areas: np.ndarray, rng: np.random.Genera
         out = out + model.sigma * np.sqrt(areas) * rng.standard_normal(areas.shape)
     if model.jump_rate > 0.0:
         counts = rng.poisson(model.jump_rate * areas)
-        jd = model.jump_dist
-        if isinstance(jd, Deterministic):
-            out = out + jd.h * counts
-        elif isinstance(jd, TwoPoint):
-            ups = rng.binomial(counts, jd.p)
-            out = out + jd.h_plus * ups + jd.h_minus * (counts - ups)
-        elif isinstance(jd, GaussianJump):
-            # sum of k iid N(mu, tau^2) is exactly N(k mu, k tau^2)
-            out = out + jd.mu * counts + jd.tau * np.sqrt(counts) * rng.standard_normal(
-                counts.shape
-            )
-        else:  # pragma: no cover - union is closed
-            raise OutOfRange(f"unsupported jump_dist {type(jd).__name__}")
+        out = model.jump_dist.add_jumps(out, counts, rng)
     return out
 
 
@@ -166,4 +152,4 @@ def simulate_sheet(model: LevyModel, n: float, lattice: Lattice, seed: int) -> S
     # Prefix sums in place, in the association of cumsum(axis=0).cumsum(axis=1).
     np.add.accumulate(acc, axis=0, out=acc)
     np.add.accumulate(acc, axis=1, out=acc)
-    return SheetSample(model, float(n), int(seed), acc, ends)
+    return SheetSample(model, acc, ends)

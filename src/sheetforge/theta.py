@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _KINDS = ("KacStroock", "LevyCos", "LevySin")
+# the angle check evaluates one exponent per step up to m_guard, about 4 us
+# each, on every spec construction
+_MAX_M_GUARD = 10_000
 _TWO_PI = 2.0 * np.pi
 
 
@@ -53,8 +56,9 @@ class ThetaSpec:
     model: driving Lévy model (KacStroock uses a unit-jump Poisson; its
         jump rate may be forced to 0 as a deterministic diagnostic mode).
     angle: wave-kernel angle in (0, 2*pi); None for KacStroock.
-    m_guard: even horizon for the angle-validity check (all real exponents
-        a(k*angle) > 0 for k = 1..m_guard); None for KacStroock.
+    m_guard: even horizon, at most 10 000, for the angle-validity check
+        (all real exponents a(k*angle) > 0 for k = 1..m_guard); None for
+        KacStroock. The wave kernels' normalizing constant must be finite.
     """
 
     kind: str
@@ -82,10 +86,15 @@ class ThetaSpec:
             isinstance(self.m_guard, int) and self.m_guard > 0 and self.m_guard % 2 == 0
         ):
             raise OutOfRange(f"m_guard={self.m_guard} must be a positive even integer")
+        if self.m_guard > _MAX_M_GUARD:
+            raise OutOfRange(f"m_guard={self.m_guard} must be at most {_MAX_M_GUARD}")
         if not check_angle(self.model, self.angle, self.m_guard):
             raise DegenerateAngle(
                 f"angle={self.angle} fails the validity check up to m_guard={self.m_guard}"
             )
+        if not np.isfinite(normalizing_constant(self.model, self.angle)):
+            raise OutOfRange(f"normalizing constant not finite for {self.model} "
+                             f"at angle={self.angle}")
 
     def normalizer(self) -> float:
         """K for the wave kernels; 1.0 for KacStroock (no K factor)."""

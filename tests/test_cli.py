@@ -26,9 +26,7 @@ from sheetforge import (
     WindowScalingSettings,
     apply_overrides,
     config_from_json_obj,
-    load_config,
     kac_stroock,
-    loads_config,
     mix64,
     preset,
     realize_theta,
@@ -66,7 +64,7 @@ def test_preset_configs_round_trip_through_json(name):
     obj = cfg.to_json_obj()
     again = config_from_json_obj(obj)
     assert again.to_json_obj() == obj
-    assert loads_config(cfg.dumps()).to_json_obj() == obj
+    assert config_from_json_obj(json.loads(json.dumps(obj))).to_json_obj() == obj
 
 
 def test_round_trip_preserves_probe_settings():
@@ -136,16 +134,6 @@ def test_degenerate_angle_surfaces_as_config_error():
     obj["theta"]["angle"] = 6.283185307179586  # cos(angle) == 1 for unit jumps
     with pytest.raises(ConfigError, match="component validation"):
         config_from_json_obj(obj)
-
-
-def test_load_config_file(tmp_path):
-    cfg = config_from_json_obj(preset("brownian-baseline"))
-    path = tmp_path / "cfg.json"
-    path.write_text(cfg.dumps())
-    assert load_config(path).to_json_obj() == cfg.to_json_obj()
-
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        loads_config("{nope")
 
 
 def test_unknown_preset_rejected():
@@ -500,6 +488,9 @@ def test_malformed_config_values_exit_2(override, field, tmp_path, capsys):
      [[{"breaks": [0.0, 1.0]}, {"breaks": [0.0, 1.0], "values": [1.0]}]]),
     ("fbm-wave", ("bilinear_pairs",),
      [[{"breaks": [0.0, True], "values": [1.0]}, {"breaks": [0.0, 1.0], "values": [1.0]}]]),
+    ("fbm-wave", ("theta", "m_guard"), 10_002),
+    ("fbm-wave", ("theta", "model", "sigma"), 1e150),
+    ("fbm-wave", ("theta", "model", "sigma"), 1e300),
 ])
 def test_config_fields_reject_wrong_types(name, path, value):
     obj = preset(name)
@@ -509,6 +500,28 @@ def test_config_fields_reject_wrong_types(name, path, value):
     target[path[-1]] = value
     with pytest.raises(ConfigError, match=path[-1]):
         config_from_json_obj(obj)
+
+
+@pytest.mark.parametrize("override", [
+    "theta.model.sigma=1e300",  # sigma**2 overflows
+    "theta.m_guard=18446744073709551616",  # 2**64 steps of the angle check
+])
+def test_wave_constants_and_guard_out_of_range_exit_2(override, tmp_path, capsys):
+    """A wave spec whose exponent overflows, or whose angle check would run
+    past 10 000 steps, is refused at load: exit 2, nothing written."""
+    argv = ["covariance", "--preset", "fbm-wave", *SMALL, "--set", override,
+            "--out", str(tmp_path / "o")]
+    code, payload = _cli(capsys, argv)
+    assert code == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert override.split("=")[0].split(".")[-1] in payload["error"]["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_largest_m_guard_loads():
+    obj = preset("fbm-wave")
+    obj["theta"]["m_guard"] = 10_000
+    assert config_from_json_obj(obj).spec_for_n(25.0).m_guard == 10_000
 
 
 def test_missing_config_file_exits_4(tmp_path, capsys):

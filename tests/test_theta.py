@@ -98,7 +98,7 @@ def test_rate_zero_parity_diagnostic_is_deterministic():
 def _frozen_sheet(model, blocks):
     """A sheet of one block per cell: float values L, or int64 counts N."""
     cells = np.arange(1, blocks.shape[0] + 1)
-    return SheetSample(model, 9.0, 0, blocks, (cells, cells))
+    return SheetSample(model, blocks, (cells, cells))
 
 
 def test_wave_fields_on_a_frozen_sheet():
@@ -135,15 +135,16 @@ def _specs_for(model, n):
     return specs
 
 
-def _check_count_sheet_theta(sheet, lat, seed):
-    """A count sheet's transform on its blocks, spread over the cells, and
-    realize_theta's field both have the bytes of the elementwise reference.
+def _check_count_sheet_theta(sheet, n, lat, seed):
+    """For a count sheet drawn at scale n with seed, its transform on its
+    blocks, spread over the cells, and realize_theta's field both have the
+    bytes of the elementwise reference.
     The counts alone give them: a copy whose blocks are the M x M counts
     gives the same bytes."""
     m = lat.m
     blind = _frozen_sheet(sheet.model, sheet.on_cells(sheet.blocks))
     assert blind.blocks.shape == (m, m) and blind.blocks.dtype == np.int64
-    for spec in _specs_for(sheet.model, sheet.n):
+    for spec in _specs_for(sheet.model, n):
         wave = theta_values_from_sheet(spec, sheet)
         assert wave.shape == sheet.blocks.shape
         want = _reference_wave(spec, sheet_field(sheet))
@@ -165,7 +166,7 @@ def test_lattice_sheets_take_the_count_table_byte_identically(h, m, n):
     assert blocks[-1, -1] == counts.max() and 0 < counts.max() < counts.size <= blocks.size
     # empty cells hold +0.0; for h < 0 the table's zero step must too
     assert np.any(counts == 0)
-    _check_count_sheet_theta(sheet, lat, 31 + m)
+    _check_count_sheet_theta(sheet, n, lat, 31 + m)
 
 
 @pytest.mark.parametrize("h", [1.0, -1.0, 0.1])
@@ -175,7 +176,7 @@ def test_count_sheets_past_the_table_size_take_the_elementwise_path(h):
     lat = Lattice(7)
     sheet = simulate_sheet(_fixed_jump(h), 400.0, lat, seed=3)
     assert sheet.blocks.max() >= sheet.blocks.size
-    _check_count_sheet_theta(sheet, lat, 3)
+    _check_count_sheet_theta(sheet, 400.0, lat, 3)
 
 
 def test_sheets_without_counts_take_the_elementwise_path():
