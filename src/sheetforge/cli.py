@@ -60,7 +60,7 @@ from .kernels import (
 )
 from .levy import min_real_exponent, normalizing_constant
 from .sheet import Lattice, mix64
-from .theta import integrate_field, levy_sin, realize_theta
+from .theta import integrate_field, realize_theta
 
 __all__ = ["main", "run"]
 
@@ -161,7 +161,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> list:
 
 def _covariance_outputs(cfg, reps, pts, zero_mean, out: Path, stem: str) -> list:
     theo = theoretical_covariance(cfg.kernel1, cfg.kernel2, pts)
-    report = empirical_covariance(reps.values, pts, theo, zero_mean)
+    report = empirical_covariance(reps, pts, theo, zero_mean)
     _dump_json(out / f"{stem}.json", report.to_json_obj())
     with open(out / f"{stem}.txt", "w") as fh:
         fh.write(report.to_text())
@@ -177,16 +177,16 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
     lattice = Lattice(cfg.lattice_m)
     spec = cfg.spec_for_n(n)
     zero_mean = _resolve_zero_mean(cfg)
+    pts = grid_points(cfg.eval_grid)
     files: list = []
     if "independence" in wanted:
         if cfg.theta.kind != "LevyCos":
             raise ConfigError("independence probe requires a LevyCos theta spec")
-        sin_spec = levy_sin(cfg.theta.model, n, cfg.theta.angle, cfg.theta.m_guard)
         reps, reps_sin = generate_coupled_replicates(
-            spec, sin_spec, cfg.kernel1, cfg.kernel2, cfg.eval_grid, lattice,
+            spec, cfg.kernel1, cfg.kernel2, cfg.eval_grid, lattice,
             cfg.replicates, cfg.master_seed,
         )
-        indep = independence_probe(reps, reps_sin)
+        indep = independence_probe(reps, reps_sin, pts)
         _dump_json(out / "independence.json", indep.to_json_obj())
         files.append("independence.json")
     else:
@@ -194,14 +194,13 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
             spec, cfg.kernel1, cfg.kernel2, cfg.eval_grid, lattice,
             cfg.replicates, cfg.master_seed,
         )
-    pts = grid_points(cfg.eval_grid)
     if "covariance" in wanted:
         files.extend(_covariance_outputs(cfg, reps, pts, zero_mean, out, "covariance_report"))
     if "gaussianity" in wanted:
         target = (cfg.eval_grid.s_points[-1], cfg.eval_grid.t_points[-1])
         idx = pts.index(target)
         sigma2 = float(theoretical_covariance(cfg.kernel1, cfg.kernel2, [target])[0, 0])
-        gauss = gaussianity_test(reps.values[:, idx], sigma2)
+        gauss = gaussianity_test(reps[:, idx], sigma2)
         obj = gauss.to_json_obj()
         obj["point"] = list(target)
         _dump_json(out / "gaussianity.json", obj)
@@ -303,7 +302,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> list:
             spec, cfg.kernel1, cfg.kernel2, cfg.eval_grid, lattice,
             cfg.replicates, mix64(cfg.master_seed, 10_000 + i),
         )
-        report = empirical_covariance(reps.values, pts, theo, zero_mean)
+        report = empirical_covariance(reps, pts, theo, zero_mean)
         stem = f"covariance_n{i}"
         obj = report.to_json_obj()
         obj["n"] = n

@@ -108,9 +108,9 @@ class ExperimentConfig(JsonObject):
         # stored as None, so an empty pair list is written as null, as it always was
         object.__setattr__(self, "bilinear_pairs", self.bilinear_pairs or None)
         # constructing a spec runs every angle and model check at load time
-        # (DegenerateAngle surfaces here)
+        # (DegenerateAngle surfaces here); the largest n bounds the jump count
         try:
-            self.spec_for_n(self.n_schedule[0])
+            self.spec_for_n(self.n_schedule[-1])
         except SheetForgeError as exc:
             raise ConfigError(f"config component validation failed: {exc}") from exc
 

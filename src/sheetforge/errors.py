@@ -11,7 +11,6 @@ __all__ = [
     "QuadratureFailure",
     "ProfileViolation",
     "InsufficientReplicates",
-    "UncoupledInputs",
     "ConfigError",
 ]
 
@@ -47,11 +46,6 @@ class ProfileViolation(SheetForgeError):
 
 class InsufficientReplicates(SheetForgeError, ValueError):
     """Too few Monte Carlo replicates for the requested estimator."""
-
-
-class UncoupledInputs(SheetForgeError, ValueError):
-    """An operation requiring fields built from one shared sheet draw was
-    given fields with unrelated provenance."""
 
 
 class ConfigError(SheetForgeError, ValueError):

@@ -11,18 +11,13 @@ value array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .approx import EvalGrid, quadrature_rows, window_quadrature_rows
-from .errors import (
-    InsufficientReplicates,
-    OutOfRange,
-    QuadratureFailure,
-    UncoupledInputs,
-)
+from .errors import InsufficientReplicates, OutOfRange, QuadratureFailure
 from .jsonio import JsonObject
 from .kernels import KernelSpec, kernel_row, l2_quadrature_nodes
 from .levy import exponent, normalizing_constant
@@ -33,7 +28,6 @@ __all__ = [
     "MomentEstimate",
     "CovarianceReport",
     "StepFunction",
-    "ReplicateSet",
     "grid_points",
     "axis_inner_product",
     "theoretical_covariance",
@@ -270,21 +264,6 @@ def _product_moments(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarr
 # -- replicate generation ---------------------------------------------------
 
 
-@dataclass
-class ReplicateSet:
-    """Values of the approximating field at fixed points across replicates.
-    coupled_group tags the two sets of one coupled cos/sin draw, which
-    independence_probe requires."""
-
-    points: Tuple[Tuple[float, float], ...]
-    values: np.ndarray
-    coupled_group: Optional[Tuple[int, str]] = None
-
-    @property
-    def replicates(self) -> int:
-        return int(self.values.shape[0])
-
-
 def _project_replicates(
     specs: Sequence[ThetaSpec],
     lattice: Lattice,
@@ -336,52 +315,33 @@ def generate_replicates(
     lattice: Lattice,
     replicates: int,
     master_seed: int,
-) -> ReplicateSet:
-    """R independent realizations of X_n on the grid; replicate r uses seed
-    mix64(master_seed, r). The kernel quadrature matrices are built once."""
+) -> np.ndarray:
+    """R independent realizations of X_n at grid_points(grid), as an (R, P)
+    array; replicate r uses seed mix64(master_seed, r). The kernel
+    quadrature matrices are built once."""
     a = quadrature_rows(k1, lattice.m, grid.s_points)
     b = quadrature_rows(k2, lattice.m, grid.t_points)
-    out = _project_replicates((spec,), lattice, a, b, replicates, master_seed)
-    return ReplicateSet(grid_points(grid), out[0])
-
-
-def _check_coupled_pair(cos_spec: ThetaSpec, sin_spec: ThetaSpec) -> None:
-    """A coupled pair is (LevyCos, LevySin) specs that agree on everything
-    but the kind, so one sheet draw serves both."""
-    if cos_spec.kind != "LevyCos" or sin_spec.kind != "LevySin":
-        raise OutOfRange("need (LevyCos, LevySin) specs")
-    if (
-        cos_spec.model != sin_spec.model
-        or cos_spec.n != sin_spec.n
-        or cos_spec.angle != sin_spec.angle
-        or cos_spec.m_guard != sin_spec.m_guard
-    ):
-        raise OutOfRange("paired specs must share model, n, angle and m_guard")
+    return _project_replicates((spec,), lattice, a, b, replicates, master_seed)[0]
 
 
 def generate_coupled_replicates(
-    cos_spec: ThetaSpec,
-    sin_spec: ThetaSpec,
+    spec: ThetaSpec,
     k1: KernelSpec,
     k2: KernelSpec,
     grid: EvalGrid,
     lattice: Lattice,
     replicates: int,
     master_seed: int,
-) -> Tuple[ReplicateSet, ReplicateSet]:
-    """Coupled cos/sin replicate sets: each replicate transforms ONE sheet
-    draw through both wave kernels. The shared coupled_group tag is what
-    independence_probe requires."""
-    _check_coupled_pair(cos_spec, sin_spec)
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (R, P) arrays of the coupled cos/sin pair of a LevyCos spec: each
+    replicate transforms ONE sheet draw through the spec and its LevySin
+    partner, so the cos array is generate_replicates' for the same seed."""
+    if spec.kind != "LevyCos":
+        raise OutOfRange(f"the coupled pair needs a LevyCos spec, got {spec.kind}")
     a = quadrature_rows(k1, lattice.m, grid.s_points)
     b = quadrature_rows(k2, lattice.m, grid.t_points)
-    out = _project_replicates((cos_spec, sin_spec), lattice, a, b, replicates, master_seed)
-    pts = grid_points(grid)
-    tag = (master_seed, "cos-sin-pair")
-    return (
-        ReplicateSet(pts, out[0], coupled_group=tag),
-        ReplicateSet(pts, out[1], coupled_group=tag),
-    )
+    specs = (spec, replace(spec, kind="LevySin"))
+    return tuple(_project_replicates(specs, lattice, a, b, replicates, master_seed))
 
 
 # -- bilinear moment probe --------------------------------------------------
@@ -819,29 +779,26 @@ class IndependenceReport(JsonObject):
 
 
 def independence_probe(
-    first: ReplicateSet, second: ReplicateSet
+    first: np.ndarray, second: np.ndarray, points: Sequence[Tuple[float, float]]
 ) -> IndependenceReport:
-    """Cross-covariance between two replicate sets that share the same
-    coupled sheet draws. Refuses uncoupled inputs (different or missing
-    coupling tags): cross-covariance of independent runs is zero by
-    construction of the seeds, so the probe would be vacuous."""
-    if first.coupled_group is None or second.coupled_group is None:
-        raise UncoupledInputs("replicate sets carry no coupling tag")
-    if first.coupled_group != second.coupled_group:
-        raise UncoupledInputs(
-            f"coupling tags differ: {first.coupled_group} vs {second.coupled_group}"
-        )
-    a = np.asarray(first.values, dtype=float)
-    b = np.asarray(second.values, dtype=float)
+    """Cross-covariance between two (R, P) value arrays over the points.
+    Meaningful on the coupled pair of generate_coupled_replicates, whose
+    arrays share their sheet draws: arrays from independent seeds have zero
+    cross-covariance by construction."""
+    a = np.asarray(first, dtype=float)
+    b = np.asarray(second, dtype=float)
     if a.shape[0] != b.shape[0]:
         raise OutOfRange("replicate counts differ")
+    if a.shape[1:] != (len(points),) or b.shape[1:] != (len(points),):
+        raise OutOfRange("points count does not match values columns")
     r = a.shape[0]
     if r < 2:
         raise InsufficientReplicates(f"need at least 2 replicates, got {r}")
     sums, se = _product_moments(a - a.mean(axis=0), b - b.mean(axis=0))
+    pts = tuple((float(s), float(t)) for s, t in points)
     return IndependenceReport(
-        points_first=first.points,
-        points_second=second.points,
+        points_first=pts,
+        points_second=pts,
         cross_covariance=sums / (r - 1),
         std_errors=se,
         replicates=r,

@@ -309,14 +309,9 @@ def increment_l2(spec: KernelSpec, s: float, s2: float) -> float:
 
     For FbmVolterra(alpha) this equals |s2 - s|^(2 alpha) exactly; the
     quadrature is graded at the integrable singularities r -> 0, s, s2.
+    Both kernels vanish for r > s2, so this is the window [0, s2].
     """
-    if not (0.0 <= s <= s2 <= 1.0):
-        raise OutOfRange(f"need 0 <= s <= s2 <= 1, got s={s}, s2={s2}")
-    if s == s2:
-        return 0.0
-    nodes, wts = l2_quadrature_nodes(spec, (s, s2))
-    diff = kernel_row(spec, s2, nodes) - kernel_row(spec, s, nodes)
-    return float(np.sum(diff * diff * wts))
+    return windowed_increment_l2(spec, s, s2, 0.0, s2)
 
 
 def windowed_increment_l2(

@@ -44,6 +44,9 @@ _KINDS = ("KacStroock", "LevyCos", "LevySin")
 # the angle check evaluates one exponent per step up to m_guard, about 4 us
 # each, on every spec construction
 _MAX_M_GUARD = 10_000
+# a fixed-jump sheet holds about 32 bytes per jump at its peak (uniforms,
+# cell indices), so this many expected jumps per draw ask for about 320 MB
+_MAX_EXPECTED_JUMPS = 1e7
 _TWO_PI = 2.0 * np.pi
 
 
@@ -59,6 +62,9 @@ class ThetaSpec:
     m_guard: even horizon, at most 10 000, for the angle-validity check
         (all real exponents a(k*angle) > 0 for k = 1..m_guard); None for
         KacStroock. The wave kernels' normalizing constant must be finite.
+
+    model.jump_rate * n, the expected jump count of one sheet draw, is at
+    most 1e7.
     """
 
     kind: str
@@ -72,6 +78,9 @@ class ThetaSpec:
             raise OutOfRange(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not (self.n > 0 and np.isfinite(self.n)):
             raise OutOfRange(f"n={self.n} must be a positive finite real")
+        if self.model.jump_rate * self.n > _MAX_EXPECTED_JUMPS:
+            raise OutOfRange(f"jump_rate * n = {self.model.jump_rate * self.n:g} expected "
+                             f"jumps per draw exceeds {_MAX_EXPECTED_JUMPS:g}")
         if self.kind == "KacStroock":
             if self.angle is not None or self.m_guard is not None:
                 raise OutOfRange("KacStroock takes no angle / m_guard")

@@ -46,7 +46,6 @@ from sheetforge import (
     integrate_field,
     kac_stroock,
     levy_cos,
-    levy_sin,
     normalizing_constant,
     preset,
     realize_theta,
@@ -195,7 +194,7 @@ def test_criterion_05_brownian_baseline_covariance():
     pts = grid_points(GRID_4X4)
     reps = generate_replicates(spec, k, k, GRID_4X4, Lattice(256), 2000, 12345)
     report = empirical_covariance(
-        reps.values, pts, theoretical_covariance(k, k, pts), zero_mean=True
+        reps, pts, theoretical_covariance(k, k, pts), zero_mean=True
     )
     elapsed = time.time() - start
     _criterion(
@@ -224,9 +223,7 @@ def _fbm_wave_pair(alpha: float):
     k = FbmVolterra(alpha)
     model = unit_jump_poisson()
     return generate_coupled_replicates(
-        levy_cos(model, 400.0, 1.0, 2),
-        levy_sin(model, 400.0, 1.0, 2),
-        k, k, GRID_4X4, Lattice(256), 2000, 777,
+        levy_cos(model, 400.0, 1.0, 2), k, k, GRID_4X4, Lattice(256), 2000, 777,
     )
 
 
@@ -255,10 +252,10 @@ def test_criterion_06_fbm_sheet_convergence():
         head = generate_replicates(
             levy_cos(model, 400.0, 1.0, 2), k, k, GRID_4X4, Lattice(256), 20, 777
         )
-        same_draws = np.array_equal(head.values, reps.values[:20])
-        report = empirical_covariance(reps.values, pts, exact.cov_cos, zero_mean=False)
+        same_draws = np.array_equal(head, reps[:20])
+        report = empirical_covariance(reps, pts, exact.cov_cos, zero_mean=False)
         ks = gaussianity_test(
-            reps.values[:, idx] - exact.mean_cos[idx], exact.cov_cos[idx, idx]
+            reps[:, idx] - exact.mean_cos[idx], exact.cov_cos[idx, idx]
         )
         means = [
             float(np.abs(_fbm_wave_exact(alpha, n).mean_cos).max())
@@ -291,7 +288,7 @@ def test_criterion_07_cos_sin_independence():
     parts = []
     for alpha in (0.6, 0.4):
         cos_reps, sin_reps = _fbm_wave_pair(alpha)
-        report = independence_probe(cos_reps, sin_reps)
+        report = independence_probe(cos_reps, sin_reps, grid_points(GRID_4X4))
         exact = _fbm_wave_exact(alpha, 400.0).cross
         residual = float(
             (np.abs(report.cross_covariance - exact) / report.std_errors).max()

@@ -452,6 +452,9 @@ def test_malformed_thread_count_exits_2(tmp_path, capsys):
      '"gamma":NaN}', "window_scaling.gamma"),
     ('bilinear_pairs=[[{"breaks":[0,NaN,1],"values":[1,2]},{"breaks":[0,1],"values":[1]}]]',
      "breaks"),
+    ("theta.model.jump_rate=1e17", "jump_rate"),  # over 1e7 expected jumps per draw
+    ("theta.model.jump_rate=1e308", "jump_rate"),  # rate * n overflows to inf
+    ("n_schedule=[4.0,2e7]", "jump_rate"),  # only the largest n is over the bound
 ])
 def test_malformed_config_values_exit_2(override, field, tmp_path, capsys):
     """Values of the wrong type or range are a ConfigError naming the field
@@ -505,10 +508,12 @@ def test_config_fields_reject_wrong_types(name, path, value):
 @pytest.mark.parametrize("override", [
     "theta.model.sigma=1e300",  # sigma**2 overflows
     "theta.m_guard=18446744073709551616",  # 2**64 steps of the angle check
+    "theta.model.jump_rate=1e17",  # over 1e7 expected jumps per draw
 ])
 def test_wave_constants_and_guard_out_of_range_exit_2(override, tmp_path, capsys):
-    """A wave spec whose exponent overflows, or whose angle check would run
-    past 10 000 steps, is refused at load: exit 2, nothing written."""
+    """A wave spec whose exponent overflows, whose angle check would run
+    past 10 000 steps, or whose sheet would hold more than 1e7 expected
+    jumps at the largest n, is refused at load: exit 2, nothing written."""
     argv = ["covariance", "--preset", "fbm-wave", *SMALL, "--set", override,
             "--out", str(tmp_path / "o")]
     code, payload = _cli(capsys, argv)

@@ -21,9 +21,7 @@ from sheetforge import (
     LevyModel,
     MomentEstimate,
     OutOfRange,
-    ReplicateSet,
     StepFunction,
-    UncoupledInputs,
     axis_inner_product,
     bilinear_moment_probe,
     check_profile,
@@ -271,12 +269,10 @@ def test_reductions_hold_no_replicate_by_pair_array():
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal((2, 2000, 144))
     pts, theory = _points(144), np.zeros((144, 144))
-    first = ReplicateSet(pts, a, coupled_group=(1, "cos-sin-pair"))
-    second = ReplicateSet(pts, b, coupled_group=(1, "cos-sin-pair"))
     runs = (
         lambda: empirical_covariance(a, pts, theory, zero_mean=True),
         lambda: empirical_covariance(a, pts, theory, zero_mean=False),
-        lambda: independence_probe(first, second),
+        lambda: independence_probe(a, b, pts),
     )
     for run in runs:
         tracemalloc.start()
@@ -286,6 +282,18 @@ def test_reductions_hold_no_replicate_by_pair_array():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
+
+
+def test_independence_probe_validation():
+    pts = ((1.0, 1.0),)
+    with pytest.raises(OutOfRange, match="replicate counts differ"):
+        independence_probe(np.zeros((5, 1)), np.zeros((4, 1)), pts)
+    with pytest.raises(OutOfRange, match="points count"):
+        independence_probe(np.zeros((5, 1)), np.zeros((5, 2)), pts)
+    with pytest.raises(OutOfRange, match="points count"):
+        independence_probe(np.zeros(5), np.zeros(5), pts)
+    with pytest.raises(InsufficientReplicates):
+        independence_probe(np.zeros((1, 1)), np.zeros((1, 1)), pts)
 
 
 def test_empirical_covariance_validation():
@@ -395,15 +403,13 @@ def _small_reports():
     """One small real report of each kind the CLI writes, by name."""
     rng = np.random.default_rng(5)
     pts = ((0.5, 0.5), (1.0, 1.0))
-    tag = (1, "cos-sin-pair")
-    first, second = (ReplicateSet(pts, rng.standard_normal((20, 2)), coupled_group=tag)
-                     for _ in range(2))
+    first, second = rng.standard_normal((2, 20, 2))
     step = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
     windows = ((0.4, 0.5, 0.4, 0.5), (0.4, 0.7, 0.4, 0.7))
     return {
         "covariance": lambda: empirical_covariance(
             rng.standard_normal((20, 2)), pts, np.eye(2), zero_mean=True),
-        "independence": lambda: independence_probe(first, second),
+        "independence": lambda: independence_probe(first, second, pts),
         "gaussianity": lambda: gaussianity_test(rng.standard_normal(500), 1.0),
         "bilinear": lambda: bilinear_moment_probe(
             kac_stroock(4.0), step, step, Lattice(8), 10, 1),
@@ -457,39 +463,36 @@ def test_generate_replicates_deterministic_and_prefix_stable():
     lat = Lattice(16)
     one = generate_replicates(spec, Indicator(), Indicator(), grid, lat, 40, 123)
     two = generate_replicates(spec, Indicator(), Indicator(), grid, lat, 40, 123)
-    np.testing.assert_array_equal(one.values, two.values)
+    np.testing.assert_array_equal(one, two)
     short = generate_replicates(spec, Indicator(), Indicator(), grid, lat, 20, 123)
-    np.testing.assert_array_equal(short.values, one.values[:20])
+    np.testing.assert_array_equal(short, one[:20])
     other = generate_replicates(spec, Indicator(), Indicator(), grid, lat, 40, 124)
-    assert not np.array_equal(one.values, other.values)
-    assert one.points == grid_points(grid)
-    assert one.values.shape == (40, 4)
-    assert one.coupled_group is None
+    assert not np.array_equal(one, other)
+    assert one.shape == (40, len(grid_points(grid))) == (40, 4)
     with pytest.raises(InsufficientReplicates):
         generate_replicates(spec, Indicator(), Indicator(), grid, lat, 1, 123)
 
 
 def test_generate_coupled_replicates_sharing_and_validation():
-    cos_spec = levy_cos(unit_jump_poisson(), 100.0, 1.0)
-    sin_spec = levy_sin(unit_jump_poisson(), 100.0, 1.0)
-    grid = EvalGrid.square((1.0,))
+    """The cos half of a coupled draw is generate_replicates on the same spec
+    and seed, bit for bit; the sin half is its LevySin partner's transform of
+    the same sheets. Only a LevyCos spec makes a pair."""
+    cos_spec = levy_cos(unit_jump_poisson(), 100.0, 1.0, m_guard=4)
+    sin_spec = levy_sin(unit_jump_poisson(), 100.0, 1.0, m_guard=4)
+    grid = EvalGrid.square((0.5, 1.0))
     lat = Lattice(16)
     cset, sset = generate_coupled_replicates(
-        cos_spec, sin_spec, Indicator(), Indicator(), grid, lat, 50, 321
+        cos_spec, Indicator(), Indicator(), grid, lat, 50, 321
     )
-    assert cset.coupled_group == sset.coupled_group == (321, "cos-sin-pair")
-    assert cset.values.shape == sset.values.shape == (50, 1)
-    with pytest.raises(OutOfRange):
-        generate_coupled_replicates(
-            sin_spec, cos_spec, Indicator(), Indicator(), grid, lat, 50, 321
-        )
-    for mismatched in (
-        levy_sin(unit_jump_poisson(), 100.0, 1.5),
-        levy_sin(unit_jump_poisson(), 100.0, 1.0, m_guard=4),
-    ):
+    assert cset.shape == sset.shape == (50, 4)
+    plain = generate_replicates(cos_spec, Indicator(), Indicator(), grid, lat, 50, 321)
+    np.testing.assert_array_equal(cset, plain)
+    sin_alone = generate_replicates(sin_spec, Indicator(), Indicator(), grid, lat, 50, 321)
+    np.testing.assert_array_equal(sset, sin_alone)
+    for not_cos in (sin_spec, kac_stroock(100.0)):
         with pytest.raises(OutOfRange):
             generate_coupled_replicates(
-                cos_spec, mismatched, Indicator(), Indicator(), grid, lat, 50, 321
+                not_cos, Indicator(), Indicator(), grid, lat, 50, 321
             )
 
 
@@ -513,13 +516,11 @@ def test_every_replicate_loop_draws_once_per_replicate(monkeypatch):
     grid = EvalGrid.square((0.5, 1.0))
     k = Indicator()
     cos_spec = levy_cos(unit_jump_poisson(), 20.0, 1.0)
-    sin_spec = levy_sin(unit_jump_poisson(), 20.0, 1.0)
     one = StepFunction((0.0, 1.0), (1.0,))
     windows = ((0.5, 0.75, 0.5, 0.75), (0.5, 0.9, 0.5, 0.9))
     runs = (
         (lambda: generate_replicates(cos_spec, k, k, grid, lat, r, 1), 1),
-        (lambda: generate_coupled_replicates(
-            cos_spec, sin_spec, k, k, grid, lat, r, 1), 2),
+        (lambda: generate_coupled_replicates(cos_spec, k, k, grid, lat, r, 1), 2),
         (lambda: bilinear_moment_probe(cos_spec, one, one, lat, r, 1), 1),
         (lambda: window_scaling_probe(
             kac_stroock(20.0), k, k, 2, (0.0, 1.0, 0.0, 1.0), windows, lat, r, 1), 1),
@@ -543,9 +544,8 @@ def test_the_engine_never_builds_the_field_of_a_count_sheet(monkeypatch):
     monkeypatch.setattr(harness, "simulate_sheet", keeping)
     lat, k, grid = Lattice(16), Indicator(), EvalGrid.square((0.5, 1.0))
     cos_spec = levy_cos(unit_jump_poisson(), 20.0, 1.0)
-    sin_spec = levy_sin(unit_jump_poisson(), 20.0, 1.0)
     generate_replicates(kac_stroock(20.0), k, k, grid, lat, 4, 1)
-    generate_coupled_replicates(cos_spec, sin_spec, k, k, grid, lat, 4, 1)
+    generate_coupled_replicates(cos_spec, k, k, grid, lat, 4, 1)
     noisy = LevyModel(sigma=0.5, jump_rate=1.0, jump_dist=Deterministic(1.0))
     generate_replicates(levy_cos(noisy, 20.0, 1.0), k, k, grid, lat, 4, 1)
     assert len(sheets) == 12
@@ -591,7 +591,7 @@ def test_every_probe_matches_the_dense_projection(monkeypatch):
     for model in models:
         cos_spec, sin_spec = levy_cos(model, 50.0, 1.0), levy_sin(model, 50.0, 1.0)
         generate_replicates(cos_spec, k1, k2, grid, lat, r, 3)
-        generate_coupled_replicates(cos_spec, sin_spec, k1, k2, grid, lat, r, 4)
+        generate_coupled_replicates(cos_spec, k1, k2, grid, lat, r, 4)
         bilinear_moment_probe(sin_spec, f, f, lat, r, 5)
         window_scaling_probe(cos_spec, k1, k2, 2, (0.1, 0.9, 0.2, 0.8), windows, lat, r, 6)
     generate_replicates(kac_stroock(50.0), k1, k2, grid, lat, r, 7)
@@ -682,11 +682,10 @@ def test_independence_probe_matches_exact_finite_n_cross_covariance():
     n, lat = 50.0, Lattice(16)
     grid = EvalGrid.square((0.5, 1.0))
     cos_spec = levy_cos(unit_jump_poisson(), n, 1.0)
-    sin_spec = levy_sin(unit_jump_poisson(), n, 1.0)
     cset, sset = generate_coupled_replicates(
-        cos_spec, sin_spec, Indicator(), Indicator(), grid, lat, 20000, 13579
+        cos_spec, Indicator(), Indicator(), grid, lat, 20000, 13579
     )
-    report = independence_probe(cset, sset)
+    report = independence_probe(cset, sset, grid_points(grid))
     exact = exact_cross_covariance(n, lat, grid)
     assert np.abs(exact).max() > 0.05  # the finite-n systematic is real
     z = np.abs(report.cross_covariance - exact) / report.std_errors
@@ -697,46 +696,28 @@ def test_independence_probe_on_coupled_pair():
     """At large n the finite-n cross-covariance is far below the Monte Carlo
     noise floor and the 5 SE criterion holds."""
     cos_spec = levy_cos(unit_jump_poisson(), 400.0, 1.0)
-    sin_spec = levy_sin(unit_jump_poisson(), 400.0, 1.0)
     grid = EvalGrid.square((0.5, 1.0))
+    pts = grid_points(grid)
     cset, sset = generate_coupled_replicates(
-        cos_spec, sin_spec, Indicator(), Indicator(), grid, Lattice(64), 1500, 777
+        cos_spec, Indicator(), Indicator(), grid, Lattice(64), 1500, 777
     )
-    report = independence_probe(cset, sset)
+    report = independence_probe(cset, sset, pts)
     assert report.replicates == 1500
     assert report.cross_covariance.shape == (4, 4)
+    assert report.points_first == report.points_second == pts
     assert report.passes(se_mult=5.0)
     # the probe must have power: a set against itself is maximally dependent
-    self_report = independence_probe(cset, cset)
+    self_report = independence_probe(cset, cset, pts)
     assert not self_report.passes(se_mult=5.0)
     # the GEMM reduction against the two-pass product-tensor estimator
-    cross, se = reference_cross_covariance(cset.values, sset.values)
+    cross, se = reference_cross_covariance(cset, sset)
     assert _normwise(report.cross_covariance, cross) <= 1e-12
     assert _normwise(report.std_errors, se) <= 1e-12
     for zero_mean in (True, False):
-        rep = empirical_covariance(cset.values, cset.points, np.zeros((4, 4)), zero_mean)
-        emp, emp_se = reference_covariance(cset.values, zero_mean)
+        rep = empirical_covariance(cset, pts, np.zeros((4, 4)), zero_mean)
+        emp, emp_se = reference_covariance(cset, zero_mean)
         assert _normwise(rep.empirical, emp) <= 1e-12
         assert _normwise(rep.std_errors, emp_se) <= 1e-12
-
-
-def test_independence_probe_rejects_uncoupled_inputs():
-    spec = kac_stroock(50.0)
-    grid = EvalGrid.square((1.0,))
-    lat = Lattice(8)
-    plain = generate_replicates(spec, Indicator(), Indicator(), grid, lat, 10, 1)
-    with pytest.raises(UncoupledInputs):
-        independence_probe(plain, plain)
-    cos_spec = levy_cos(unit_jump_poisson(), 100.0, 1.0)
-    sin_spec = levy_sin(unit_jump_poisson(), 100.0, 1.0)
-    a_c, a_s = generate_coupled_replicates(
-        cos_spec, sin_spec, Indicator(), Indicator(), grid, lat, 10, 1
-    )
-    b_c, b_s = generate_coupled_replicates(
-        cos_spec, sin_spec, Indicator(), Indicator(), grid, lat, 10, 2
-    )
-    with pytest.raises(UncoupledInputs):
-        independence_probe(a_c, b_s)  # different master seeds: different sheets
 
 
 # -- step functions and the bilinear probe ---------------------------------------

@@ -68,6 +68,13 @@ def test_spec_validation():
         levy_cos(unit_jump_poisson(), 100.0, 1.0, m_guard=3)  # must be even
     with pytest.raises(OutOfRange):
         ThetaSpec("Wavelet", 10.0, unit_jump_poisson(), angle=1.0, m_guard=2)
+    # jump_rate * n, the expected jump count of one draw, may reach 1e7
+    kac_stroock(1e7)
+    levy_cos(unit_jump_poisson(1e5), 100.0, 1.0)
+    with pytest.raises(OutOfRange, match="jump_rate"):
+        kac_stroock(1e7, rate=1.5)
+    with pytest.raises(OutOfRange, match="jump_rate"):
+        levy_sin(unit_jump_poisson(1e308), 400.0, 1.0)  # rate * n overflows to inf
 
 
 def test_degenerate_angle_rejected_at_construction():
