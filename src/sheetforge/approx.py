@@ -84,15 +84,14 @@ def quadrature_rows(spec: KernelSpec, m: int, points: Sequence[float]) -> np.nda
 
 
 def window_quadrature_rows(
-    spec: KernelSpec, m: int, lo: float, hi: float, windows: Sequence[float]
+    spec: KernelSpec, m: int, lo: float, hi: float, windows: Sequence[Tuple[float, float]]
 ) -> np.ndarray:
-    """Difference-kernel rows for the windowed field: row w is
-    (K(hi, u_i) - K(lo, u_i)) / M masked to midpoints u_i <= w."""
-    lat = Lattice(m)
-    mids = lat.midpoints()
-    delta = 1.0 / m
-    dk = (kernel_row(spec, hi, mids) - kernel_row(spec, lo, mids)) * delta
-    return np.array([np.where(mids <= w, dk, 0.0) for w in windows])
+    """Difference-kernel rows for the windowed field: the row of window
+    (w0, w1) is (K(hi, u_i) - K(lo, u_i)) / M masked to midpoints
+    w0 < u_i <= w1."""
+    mids = Lattice(m).midpoints()
+    dk = (kernel_row(spec, hi, mids) - kernel_row(spec, lo, mids)) * (1.0 / m)
+    return np.array([np.where((mids > w0) & (mids <= w1), dk, 0.0) for w0, w1 in windows])
 
 
 # -- field assembly --------------------------------------------------------

@@ -30,7 +30,6 @@ from .approx import build_approximation
 from .config import (
     ExperimentConfig,
     PRESET_NAMES,
-    WindowScalingSettings,
     apply_overrides,
     config_from_json_obj,
     preset,
@@ -38,6 +37,7 @@ from .config import (
 from .errors import ConfigError, SheetForgeError
 from .harness import (
     StepFunction,
+    WindowScalingSettings,
     bilinear_moment_probe,
     default_zero_mean,
     empirical_covariance,
@@ -46,6 +46,7 @@ from .harness import (
     generate_replicates,
     grid_points,
     independence_probe,
+    require_ks_samples,
     theoretical_covariance,
     window_scaling_probe,
 )
@@ -159,6 +160,15 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> list:
     return ["theta_field.csv", "zeta_field.csv", "approx_field.csv", "approx_field.json"]
 
 
+def _draw(cfg: ExperimentConfig, n: float, seed: int, coupled: bool):
+    """The replicates of cfg at n from master seed seed: the (R, P) array, or
+    with coupled the cos and sin arrays of one LevyCos draw. The generators
+    are looked up as module globals on every call: tracers replace them."""
+    draw = generate_coupled_replicates if coupled else generate_replicates
+    return draw(cfg.spec_for_n(n), cfg.kernel1, cfg.kernel2, cfg.eval_grid,
+                Lattice(cfg.lattice_m), cfg.replicates, seed)
+
+
 def _covariance_outputs(cfg, reps, pts, zero_mean, out: Path, stem: str) -> list:
     theo = theoretical_covariance(cfg.kernel1, cfg.kernel2, pts)
     report = empirical_covariance(reps, pts, theo, zero_mean)
@@ -173,27 +183,21 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
     wanted = [p for p in cfg.probes if p in ("covariance", "gaussianity", "independence")]
     if not wanted:
         return []
+    if "independence" in wanted and cfg.theta.kind != "LevyCos":
+        raise ConfigError("independence probe requires a LevyCos theta spec")
+    if "gaussianity" in wanted:
+        require_ks_samples(cfg.replicates)
     n = cfg.n_schedule[-1]
-    lattice = Lattice(cfg.lattice_m)
-    spec = cfg.spec_for_n(n)
     zero_mean = _resolve_zero_mean(cfg)
     pts = grid_points(cfg.eval_grid)
     files: list = []
     if "independence" in wanted:
-        if cfg.theta.kind != "LevyCos":
-            raise ConfigError("independence probe requires a LevyCos theta spec")
-        reps, reps_sin = generate_coupled_replicates(
-            spec, cfg.kernel1, cfg.kernel2, cfg.eval_grid, lattice,
-            cfg.replicates, cfg.master_seed,
-        )
+        reps, reps_sin = _draw(cfg, n, cfg.master_seed, True)
         indep = independence_probe(reps, reps_sin, pts)
         _dump_json(out / "independence.json", indep.to_json_obj())
         files.append("independence.json")
     else:
-        reps = generate_replicates(
-            spec, cfg.kernel1, cfg.kernel2, cfg.eval_grid, lattice,
-            cfg.replicates, cfg.master_seed,
-        )
+        reps = _draw(cfg, n, cfg.master_seed, False)
     if "covariance" in wanted:
         files.extend(_covariance_outputs(cfg, reps, pts, zero_mean, out, "covariance_report"))
     if "gaussianity" in wanted:
@@ -276,11 +280,9 @@ def _cmd_check_hypotheses(cfg: ExperimentConfig, out: Path) -> list:
         _dump_json(out / "bilinear_probe.json", results)
         files.append("bilinear_probe.json")
     if "window-scaling" in wanted:
-        ws = cfg.window_scaling or _DEFAULT_WINDOW_SCALING
         rep = window_scaling_probe(
-            spec, cfg.kernel1, cfg.kernel2, ws.m_order, ws.base_rect, ws.windows,
+            spec, cfg.kernel1, cfg.kernel2, cfg.window_scaling or _DEFAULT_WINDOW_SCALING,
             lattice, cfg.replicates, mix64(cfg.master_seed, 900),
-            predicted_gamma=ws.gamma,
         )
         _dump_json(out / "window_scaling.json", rep.to_json_obj())
         files.append("window_scaling.json")
@@ -290,18 +292,13 @@ def _cmd_check_hypotheses(cfg: ExperimentConfig, out: Path) -> list:
 def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> list:
     if "covariance" not in cfg.probes:
         return []
-    lattice = Lattice(cfg.lattice_m)
     zero_mean = _resolve_zero_mean(cfg)
     pts = grid_points(cfg.eval_grid)
     theo = theoretical_covariance(cfg.kernel1, cfg.kernel2, pts)
     files: list = []
     trend = []
     for i, n in enumerate(cfg.n_schedule):
-        spec = cfg.spec_for_n(n)
-        reps = generate_replicates(
-            spec, cfg.kernel1, cfg.kernel2, cfg.eval_grid, lattice,
-            cfg.replicates, mix64(cfg.master_seed, 10_000 + i),
-        )
+        reps = _draw(cfg, n, mix64(cfg.master_seed, 10_000 + i), False)
         report = empirical_covariance(reps, pts, theo, zero_mean)
         stem = f"covariance_n{i}"
         obj = report.to_json_obj()
@@ -324,13 +321,9 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> list:
         "final_passes": trend[-1]["passes"],
     }
     _dump_json(out / "sweep_summary.json", summary)
-    with open(out / "sweep_trend.csv", "w") as fh:
-        fh.write("n,max_abs_deviation,max_std_deviation,passes\n")
-        for row in trend:
-            fh.write(
-                f"{row['n']!r},{row['max_abs_deviation']!r},"
-                f"{row['max_std_deviation']!r},{int(row['passes'])}\n"
-            )
+    _write_rows(out / "sweep_trend.csv", "n,max_abs_deviation,max_std_deviation,passes",
+                ((row["n"], row["max_abs_deviation"], row["max_std_deviation"],
+                  int(row["passes"])) for row in trend))
     files.extend(["sweep_summary.json", "sweep_trend.csv"])
     return files
 

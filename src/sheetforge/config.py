@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 from .approx import EvalGrid
 from .errors import ConfigError, SheetForgeError
-from .harness import StepFunction
+from .harness import StepFunction, WindowScalingSettings
 from .jsonio import JsonObject, decode, field_names
 from .kernels import KernelSpec
 from .levy import LevyModel
@@ -27,7 +27,6 @@ from .theta import ThetaSpec
 __all__ = [
     "ExperimentConfig",
     "ThetaSettings",
-    "WindowScalingSettings",
     "apply_overrides",
     "preset",
     "PRESET_NAMES",
@@ -45,14 +44,6 @@ KNOWN_PROBES = (
     "window-scaling",
     "profiles",
 )
-
-
-@dataclass(frozen=True)
-class WindowScalingSettings(JsonObject):
-    m_order: int
-    base_rect: Tuple[float, float, float, float]
-    windows: Tuple[Tuple[float, float, float, float], ...]
-    gamma: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -116,9 +107,7 @@ class ExperimentConfig(JsonObject):
 
     def spec_for_n(self, n: float) -> ThetaSpec:
         t = self.theta
-        wave = t.kind != "KacStroock"  # KacStroock ignores angle and m_guard
-        return ThetaSpec(t.kind, n, t.model, t.angle if wave else None,
-                         t.m_guard if wave else None)
+        return ThetaSpec(t.kind, n, t.model, t.angle, t.m_guard)
 
 
 def config_from_json_obj(obj: dict) -> ExperimentConfig:

@@ -38,7 +38,9 @@ __all__ = [
     "BilinearProbeReport",
     "window_scaling_probe",
     "WindowScalingReport",
+    "WindowScalingSettings",
     "gaussianity_test",
+    "require_ks_samples",
     "GaussianityReport",
     "independence_probe",
     "IndependenceReport",
@@ -423,7 +425,7 @@ def bilinear_moment_probe(
     1.0 and the report is informative only."""
     if spec.kind in ("LevyCos", "LevySin"):
         k = normalizing_constant(spec.model, spec.angle)
-        a_val = exponent(spec.model, spec.angle).a
+        a_val = exponent(spec.model, spec.angle).real
         c = 136.0 * k * k / (a_val * a_val)
         bound_mode = True
     else:
@@ -451,6 +453,40 @@ def bilinear_moment_probe(
 
 
 # -- window scaling probe ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WindowScalingSettings(JsonObject):
+    """The window-scaling probe's settings. m_order is an even moment order
+    >= 2. base_rect = (s, s2, t, t2), with 0 <= s <= s2 <= 1 and the same in
+    t, fixes the kernel-difference pair. Each of the two or more windows
+    (s0, s0', t0, t0') restricts the integration domain and obeys
+    0 < s0 < s0' < 2 s0, s0' <= 1, and the same in t. gamma, when given,
+    predicts the minimum slope m_order * gamma."""
+
+    m_order: int
+    base_rect: Tuple[float, float, float, float]
+    windows: Tuple[Tuple[float, float, float, float], ...]
+    gamma: Optional[float] = None
+
+    def __post_init__(self):
+        if self.m_order < 2 or self.m_order % 2 != 0:
+            raise OutOfRange(f"m_order={self.m_order} must be an even integer >= 2")
+        if len(self.windows) < 2:
+            raise OutOfRange("need at least two windows to fit a slope")
+        s, s2, t, t2 = base = tuple(float(v) for v in self.base_rect)
+        if not (0.0 <= s <= s2 <= 1.0 and 0.0 <= t <= t2 <= 1.0):
+            raise OutOfRange("base_rect must satisfy 0 <= s <= s2 <= 1, same in t")
+        windows = tuple(tuple(float(v) for v in w) for w in self.windows)
+        for s0, s0p, t0, t0p in windows:
+            if not (0.0 < s0 < s0p < 2.0 * s0) or s0p > 1.0:
+                raise OutOfRange(f"window s-range ({s0}, {s0p}) must satisfy 0 < s0 < s0' < 2 s0")
+            if not (0.0 < t0 < t0p < 2.0 * t0) or t0p > 1.0:
+                raise OutOfRange(f"window t-range ({t0}, {t0p}) must satisfy 0 < t0 < t0' < 2 t0")
+        object.__setattr__(self, "base_rect", base)
+        object.__setattr__(self, "windows", windows)
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", float(self.gamma))
 
 
 @dataclass
@@ -482,56 +518,28 @@ def window_scaling_probe(
     spec: ThetaSpec,
     k1: KernelSpec,
     k2: KernelSpec,
-    m_order: int,
-    base_rect: Tuple[float, float, float, float],
-    windows: Sequence[Tuple[float, float, float, float]],
+    settings: WindowScalingSettings,
     lattice: Lattice,
     replicates: int,
     master_seed: int,
-    predicted_gamma: Optional[float] = None,
 ) -> WindowScalingReport:
     """Estimate E[(increment of the windowed field over [s0,s0']x[t0,t0'])^m]
-    for each window and regress log moment on log window area (weighted by
-    the relative moment errors). Windows obey 0 < s0 < s0' < 2 s0 per axis.
-
-    base_rect = (s, s2, t, t2) fixes the kernel-difference pair; each window
-    (s0, s0p, t0, t0p) restricts the integration domain."""
-    if m_order < 2 or m_order % 2 != 0:
-        raise OutOfRange(f"m_order={m_order} must be an even integer >= 2")
-    if len(windows) < 2:
-        raise OutOfRange("need at least two windows to fit a slope")
-    s, s2, t, t2 = (float(v) for v in base_rect)
-    if not (0.0 <= s <= s2 <= 1.0 and 0.0 <= t <= t2 <= 1.0):
-        raise OutOfRange("base_rect must satisfy 0 <= s <= s2 <= 1, same in t")
-    wlist = []
-    for w in windows:
-        s0, s0p, t0, t0p = (float(v) for v in w)
-        if not (0.0 < s0 < s0p < 2.0 * s0) or s0p > 1.0:
-            raise OutOfRange(f"window s-range ({s0}, {s0p}) must satisfy 0 < s0 < s0' < 2 s0")
-        if not (0.0 < t0 < t0p < 2.0 * t0) or t0p > 1.0:
-            raise OutOfRange(f"window t-range ({t0}, {t0p}) must satisfy 0 < t0 < t0' < 2 t0")
-        wlist.append((s0, s0p, t0, t0p))
-    m = lattice.m
-    s0s, s0ps, t0s, t0ps = zip(*wlist)
-    # rows over the window (s0, s0'] = rows up to s0' minus rows up to s0
-    u_rows = (window_quadrature_rows(k1, m, s, s2, s0ps)
-              - window_quadrature_rows(k1, m, s, s2, s0s))
-    v_rows = (window_quadrature_rows(k2, m, t, t2, t0ps)
-              - window_quadrature_rows(k2, m, t, t2, t0s))
+    for each window of the settings and regress log moment on log window
+    area (weighted by the relative moment errors)."""
+    m_order, windows = settings.m_order, settings.windows
+    s, s2, t, t2 = settings.base_rect
+    u_rows = window_quadrature_rows(k1, lattice.m, s, s2, [w[:2] for w in windows])
+    v_rows = window_quadrature_rows(k2, lattice.m, t, t2, [w[2:] for w in windows])
     proj = _project_replicates((spec,), lattice, u_rows, v_rows, replicates, master_seed)
-    incs = proj[0, :, :: len(wlist) + 1]  # diagonal of each W x W projection
+    incs = proj[0, :, :: len(windows) + 1]  # diagonal of each W x W projection
     powers = incs**m_order
     vals = powers.mean(axis=0)
     ses = powers.std(axis=0, ddof=1) / math.sqrt(replicates)
-    moments = tuple(
-        MomentEstimate(float(v), float(e), replicates) for v, e in zip(vals, ses)
-    )
+    moments = tuple(MomentEstimate(float(v), float(e), replicates) for v, e in zip(vals, ses))
     heavy = bool(np.any(ses > 0.5 * np.maximum(np.abs(vals), 1e-300)))
-    areas = tuple((s0p - s0) * (t0p - t0) for s0, s0p, t0, t0p in wlist)
+    areas = tuple((s0p - s0) * (t0p - t0) for s0, s0p, t0, t0p in windows)
     if np.any(vals <= 0.0):
-        raise OutOfRange(
-            "a window moment is nonpositive; increase replicates or windows"
-        )
+        raise OutOfRange("a window moment is nonpositive; increase replicates or windows")
     x = np.log(np.asarray(areas))
     y = np.log(vals)
     wgt = (vals / np.maximum(ses, 1e-300)) ** 2  # delta method on log values
@@ -542,14 +550,12 @@ def window_scaling_probe(
     slope_se = float(math.sqrt(1.0 / sxx))
     return WindowScalingReport(
         m_order=m_order,
-        windows=tuple(wlist),
+        windows=windows,
         areas=areas,
         moments=moments,
         slope=slope,
         slope_se=slope_se,
-        predicted_min_slope=(
-            None if predicted_gamma is None else m_order * float(predicted_gamma)
-        ),
+        predicted_min_slope=None if settings.gamma is None else m_order * settings.gamma,
         heavy_tail=heavy,
     )
 
@@ -725,15 +731,20 @@ def _kolmogorov_sf(n: int, d: float) -> float:
     return float(np.clip(sf, 0.0, 1.0))
 
 
+def require_ks_samples(count: int) -> None:
+    """The Gaussianity probe's sample floor: InsufficientReplicates below 500."""
+    if count < 500:
+        raise InsufficientReplicates(f"gaussianity test needs >= 500 samples, got {count}")
+
+
 def gaussianity_test(samples: np.ndarray, sigma2_theory: float) -> GaussianityReport:
     """Kolmogorov-Smirnov distance of the samples against
     Normal(0, sigma2_theory), with the exact two-sided p-value
     P(D_N >= D) of Simard & L'Ecuyer (2011); see `_kolmogorov_sf`."""
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 500:
-        raise InsufficientReplicates(
-            f"gaussianity test needs >= 500 samples, got {samples.size}"
-        )
+    if samples.ndim != 1:
+        raise OutOfRange("gaussianity test needs a one-dimensional sample array")
+    require_ks_samples(samples.size)
     if not (0.0 < sigma2_theory < math.inf):
         raise OutOfRange(f"sigma2_theory={sigma2_theory} must be positive and finite")
     if not np.all(np.isfinite(samples)):

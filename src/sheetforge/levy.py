@@ -32,7 +32,6 @@ __all__ = [
     "GaussianJump",
     "JumpDist",
     "LevyModel",
-    "ExponentValue",
     "exponent",
     "normalizing_constant",
     "min_real_exponent",
@@ -146,21 +145,13 @@ class LevyModel(JsonObject):
             raise OutOfRange("jump_rate > 0 requires a jump_dist")
 
 
-@dataclass(frozen=True)
-class ExponentValue:
-    """Psi(xi) = a + i b split into real and imaginary parts."""
-
-    a: float
-    b: float
-
-
 def unit_jump_poisson(rate: float = 1.0) -> LevyModel:
     """Pure Poisson model with unit jumps; the classical parity/wave driver."""
     return LevyModel(sigma=0.0, drift=0.0, jump_rate=rate, jump_dist=Deterministic(1.0))
 
 
-def exponent(model: LevyModel, xi: float) -> ExponentValue:
-    """Evaluate Psi(xi) for the model.
+def exponent(model: LevyModel, xi: float) -> complex:
+    """Evaluate Psi(xi) = a + i b for the model.
 
     a(xi) = 0.5 sigma^2 xi^2 + rate * (1 - Re phi_J(xi))   (>= 0 always)
     b(xi) = -drift * xi - rate * Im phi_J(xi)
@@ -179,7 +170,7 @@ def exponent(model: LevyModel, xi: float) -> ExponentValue:
     # 1 - Re phi can go infinitesimally negative through rounding; clamp.
     if a < 0.0:
         a = 0.0
-    return ExponentValue(a=a, b=b)
+    return complex(a, b)
 
 
 def normalizing_constant(model: LevyModel, theta: float) -> float:
@@ -190,12 +181,11 @@ def normalizing_constant(model: LevyModel, theta: float) -> float:
     Equals sqrt(2) identically for the unit-jump Poisson model at every
     valid angle. Raises DegenerateAngle when a(theta) == 0.
     """
-    ev = exponent(model, theta)
-    if ev.a <= 0.0:
-        raise DegenerateAngle(
-            f"a(theta)={ev.a} at theta={theta}; normalizing constant undefined"
-        )
-    return (ev.a * ev.a + ev.b * ev.b) / ev.a / math.sqrt(2.0)
+    psi = exponent(model, theta)
+    a, b = psi.real, psi.imag
+    if a <= 0.0:
+        raise DegenerateAngle(f"a(theta)={a} at theta={theta}; normalizing constant undefined")
+    return (a * a + b * b) / a / math.sqrt(2.0)
 
 
 def min_real_exponent(model: LevyModel, theta: float, m: int) -> float:
@@ -206,7 +196,7 @@ def min_real_exponent(model: LevyModel, theta: float, m: int) -> float:
     """
     if not isinstance(m, int) or m < 1:
         raise OutOfRange(f"m={m} must be a positive integer")
-    return min(exponent(model, k * theta).a for k in range(1, m + 1))
+    return min(exponent(model, k * theta).real for k in range(1, m + 1))
 
 
 def check_angle(model: LevyModel, theta: float, m: int) -> bool:

@@ -98,6 +98,16 @@ def matrix() -> Dict[str, Tuple[str, ...]]:
                        ("fbm-wave", "1e17")):
         runs[f"error-jump-rate-{rate}-{name}"] = (
             "covariance", "--preset", name, *tiny, "--set", f"theta.model.jump_rate={rate}")
+    # refused before any draw: too few replicates for the KS probe, an odd
+    # window-scaling moment order, and an angle on the parity kernel
+    runs["error-gaussianity-499"] = ("covariance", "--preset", "fbm-wave",
+                                     "--set", "replicates=499")
+    runs["error-window-m-order-3"] = (
+        "check-hypotheses", *wave, *HYPOTHESES,
+        *_set("window_scaling", {"m_order": 3, "base_rect": [0.0, 1.0, 0.0, 1.0],
+                                 "windows": [[0.4, 0.5, 0.4, 0.5], [0.4, 0.6, 0.4, 0.6]]}))
+    runs["error-kac-stroock-angle"] = (
+        "covariance", *brownian, "--set", "theta.angle=1.0", "--set", "theta.m_guard=3")
     return runs
 
 

@@ -64,11 +64,6 @@ class WaveMoments:
     cross: np.ndarray
 
 
-def _psi(spec: ThetaSpec, xi: float) -> complex:
-    value = exponent(spec.model, xi)
-    return complex(value.a, value.b)
-
-
 def _wave_setup(spec: ThetaSpec, k1: KernelSpec, k2: KernelSpec,
                 grid: EvalGrid, lattice: Lattice):
     if spec.kind not in ("LevyCos", "LevySin"):
@@ -99,7 +94,7 @@ def exact_moments_quartic(spec, k1, k2, grid, lattice) -> WaveMoments:
     """Direct O(M^4) contraction of the independent-region decomposition."""
     x, ta, tb, scale = _wave_setup(spec, k1, k2, grid, lattice)
     n, angle = spec.n, spec.angle
-    p1, p2 = _psi(spec, angle), _psi(spec, 2.0 * angle)
+    p1, p2 = exponent(spec.model, angle), exponent(spec.model, 2.0 * angle)
     xy = np.outer(x, x)
     mins = np.minimum.outer(x, x)
     m_s = n * mins[:, None, :, None] * mins[None, :, None, :]
@@ -183,7 +178,7 @@ def exact_moments(spec: ThetaSpec, k1: KernelSpec, k2: KernelSpec,
     argument tuple so callers at the same (n, kernels, M) share one pass."""
     x, ta, tb, scale = _wave_setup(spec, k1, k2, grid, lattice)
     n, angle = spec.n, spec.angle
-    p1, p2 = _psi(spec, angle), _psi(spec, 2.0 * angle)
+    p1, p2 = exponent(spec.model, angle), exponent(spec.model, 2.0 * angle)
     plus = _region_sum(-n * p1, -n * p1, -n * (p2 - 2.0 * p1), ta, tb, x)
     minus = _region_sum(-n * p1, -n * p1.conjugate(), 2.0 * n * p1.real,
                         ta, tb, x)

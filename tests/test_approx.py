@@ -125,11 +125,12 @@ def test_indicator_kernels_reproduce_integrated_field():
 
 
 def _window_field(vals, k1, k2, s, s2, t, t2, windows):
-    """Y_n on windows x windows: the difference-kernel rows of both axes
-    around the midpoint values."""
+    """Y_n on windows x windows: the difference-kernel rows of both axes,
+    each masked to (0, w], around the midpoint values."""
     m = vals.shape[0]
-    a = window_quadrature_rows(k1, m, s, s2, windows)
-    b = window_quadrature_rows(k2, m, t, t2, windows)
+    spans = [(0.0, w) for w in windows]
+    a = window_quadrature_rows(k1, m, s, s2, spans)
+    b = window_quadrature_rows(k2, m, t, t2, spans)
     return a @ vals @ b.T
 
 

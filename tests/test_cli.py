@@ -31,6 +31,7 @@ from sheetforge import (
     preset,
     realize_theta,
 )
+from sheetforge import cli
 from sheetforge.cli import main, run
 from sheetforge.config import PRESET_NAMES
 
@@ -455,6 +456,8 @@ def test_malformed_thread_count_exits_2(tmp_path, capsys):
     ("theta.model.jump_rate=1e17", "jump_rate"),  # over 1e7 expected jumps per draw
     ("theta.model.jump_rate=1e308", "jump_rate"),  # rate * n overflows to inf
     ("n_schedule=[4.0,2e7]", "jump_rate"),  # only the largest n is over the bound
+    ("theta.angle=1.0", "angle"),  # KacStroock has no angle
+    ("theta.m_guard=3", "m_guard"),  # nor an angle-check horizon
 ])
 def test_malformed_config_values_exit_2(override, field, tmp_path, capsys):
     """Values of the wrong type or range are a ConfigError naming the field
@@ -538,23 +541,95 @@ def test_missing_config_file_exits_4(tmp_path, capsys):
     assert payload["error"]["type"] == "IoError"
 
 
-def test_runtime_probe_failure_exits_3(tmp_path, capsys):
-    # the window passes config-shape validation but violates the probe's
-    # local-window requirement (s0' < 2 s0), which surfaces mid-run
-    bad_windows = (
-        'window_scaling={"m_order":2,"base_rect":[0.5,1.0,0.5,1.0],'
-        '"windows":[[0.1,0.5,0.1,0.5],[0.1,0.6,0.1,0.6]],"gamma":null}'
-    )
+@pytest.mark.parametrize("settings, message", [
+    # the windows break the probe's local-window requirement s0' < 2 s0
+    ('{"m_order":2,"base_rect":[0.5,1.0,0.5,1.0],'
+     '"windows":[[0.1,0.5,0.1,0.5],[0.1,0.6,0.1,0.6]],"gamma":null}', "s-range"),
+    ('{"m_order":3,"base_rect":[0.0,1.0,0.0,1.0],'
+     '"windows":[[0.4,0.5,0.4,0.5],[0.4,0.6,0.4,0.6]]}', "m_order"),
+])
+def test_invalid_window_scaling_settings_exit_2(settings, message, tmp_path, capsys):
+    """The window-scaling settings are checked at load, before the profiles
+    and bilinear probes that run ahead of them: exit 2, nothing written."""
     code, payload = _cli(
         capsys,
         [
             "check-hypotheses", "--preset", "brownian-baseline", *SMALL,
-            "--set", 'probes=["window-scaling"]', "--set", bad_windows,
-            "--out", str(tmp_path / "w"),
+            "--set", 'probes=["profiles","bilinear","window-scaling"]',
+            "--set", f"window_scaling={settings}", "--out", str(tmp_path / "w"),
+        ],
+    )
+    assert code == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert "window_scaling" in payload["error"]["message"]
+    assert message in payload["error"]["message"]
+    assert not (tmp_path / "w").exists()
+
+
+def test_runtime_probe_failure_exits_3(tmp_path, capsys):
+    # a Holmgren-Riemann-Liouville kernel with h = 0.3 fails its default
+    # growth profile, which only the profiles probe finds, mid-run
+    kernel = '{"kind":"holmgren_rl","h":0.3}'
+    code, payload = _cli(
+        capsys,
+        [
+            "check-hypotheses", "--preset", "brownian-baseline", *SMALL,
+            "--set", 'probes=["profiles"]', "--set", f"kernel1={kernel}",
+            "--set", f"kernel2={kernel}", "--out", str(tmp_path / "p"),
         ],
     )
     assert code == 3
-    assert payload["error"]["type"] == "OutOfRange"
+    assert payload["error"]["type"] == "ProfileViolation"
+
+
+def _count_draws(monkeypatch) -> list:
+    """Wraps the CLI module's two replicate generators, as bench/trace_cli.py
+    does, and returns the list of (generator, n) each call appends to."""
+    calls = []
+    for name in ("generate_replicates", "generate_coupled_replicates"):
+        def counted(spec, *args, _name=name, _inner=getattr(cli, name)):
+            calls.append((_name, spec.n))
+            return _inner(spec, *args)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_too_few_replicates_for_gaussianity_draw_and_write_nothing(
+        tmp_path, capsys, monkeypatch):
+    """The Gaussianity probe's sample floor is checked before the first
+    draw: with all the fbm-wave probes and 499 replicates, exit 3 and no
+    file, where the independence and covariance outputs were once written."""
+    calls = _count_draws(monkeypatch)
+    out = tmp_path / "few"
+    code, payload = _cli(capsys, ["covariance", "--preset", "fbm-wave", "--set", "lattice_m=16",
+                                  "--set", "replicates=499", "--out", str(out)])
+    assert code == 3
+    assert payload["error"] == {"type": "InsufficientReplicates",
+                                "message": "gaussianity test needs >= 500 samples, got 499"}
+    assert calls == []
+    assert list(out.iterdir()) == []
+
+
+def test_covariance_and_sweep_draw_through_the_module_generators(
+        tmp_path, capsys, monkeypatch):
+    """Both covariance branches and every n of a sweep draw once each, by
+    the generator names a tracer replaces in the CLI module."""
+    calls = _count_draws(monkeypatch)
+    runs = (
+        (["covariance", "--preset", "brownian-baseline", *SMALL],
+         [("generate_replicates", 4.0)]),
+        (["covariance", "--preset", "fbm-wave", *SMALL,
+          "--set", 'probes=["covariance","independence"]'],
+         [("generate_coupled_replicates", 4.0)]),
+        (["sweep", "--preset", "fbm-wave", *SMALL, "--set", "n_schedule=[4.0,9.0,16.0]"],
+         [("generate_replicates", 4.0), ("generate_replicates", 9.0),
+          ("generate_replicates", 16.0)]),
+    )
+    for i, (argv, want) in enumerate(runs):
+        calls.clear()
+        code, _ = _cli(capsys, [*argv, "--out", str(tmp_path / str(i))])
+        assert code == 0
+        assert calls == want
 
 
 def test_unknown_subcommand_rejected_by_run():

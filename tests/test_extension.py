@@ -113,9 +113,9 @@ def test_default_profile_follows_the_stated_power():
 
 def test_a_new_jump_law_drives_the_exponent_and_the_sampler():
     model = LevyModel(sigma=0.0, drift=0.25, jump_rate=2.0, jump_dist=FixedSize(3.0))
-    ev = exponent(model, 0.7)
-    assert ev.a == pytest.approx(2.0 * (1.0 - math.cos(2.1)), rel=1e-15)
-    assert ev.b == pytest.approx(-0.25 * 0.7 - 2.0 * math.sin(2.1), rel=1e-15)
+    psi = exponent(model, 0.7)
+    assert psi.real == pytest.approx(2.0 * (1.0 - math.cos(2.1)), rel=1e-15)
+    assert psi.imag == pytest.approx(-0.25 * 0.7 - 2.0 * math.sin(2.1), rel=1e-15)
     areas = np.linspace(0.0, 3.0, 12).reshape(3, 4)
     got = sample_increments(model, areas, np.random.default_rng(5))
     counts = np.random.default_rng(5).poisson(2.0 * areas)

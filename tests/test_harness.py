@@ -39,9 +39,11 @@ from sheetforge import (
     levy_sin,
     mix64,
     quadrature_rows,
+    require_ks_samples,
     simulate_sheet,
     theoretical_covariance,
     unit_jump_poisson,
+    WindowScalingSettings,
     window_scaling_probe,
 )
 
@@ -414,8 +416,9 @@ def _small_reports():
         "bilinear": lambda: bilinear_moment_probe(
             kac_stroock(4.0), step, step, Lattice(8), 10, 1),
         "window-scaling": lambda: window_scaling_probe(
-            kac_stroock(50.0), Indicator(), Indicator(), 2, (0.0, 1.0, 0.0, 1.0),
-            windows, Lattice(16), 20, 3, predicted_gamma=0.5),
+            kac_stroock(50.0), Indicator(), Indicator(),
+            WindowScalingSettings(2, (0.0, 1.0, 0.0, 1.0), windows, gamma=0.5),
+            Lattice(16), 20, 3),
         "profile": lambda: check_profile(
             FbmVolterra(0.75), default_profile(FbmVolterra(0.75)), [(0.25, 0.5)]),
     }
@@ -523,7 +526,8 @@ def test_every_replicate_loop_draws_once_per_replicate(monkeypatch):
         (lambda: generate_coupled_replicates(cos_spec, k, k, grid, lat, r, 1), 2),
         (lambda: bilinear_moment_probe(cos_spec, one, one, lat, r, 1), 1),
         (lambda: window_scaling_probe(
-            kac_stroock(20.0), k, k, 2, (0.0, 1.0, 0.0, 1.0), windows, lat, r, 1), 1),
+            kac_stroock(20.0), k, k, WindowScalingSettings(2, (0.0, 1.0, 0.0, 1.0), windows),
+            lat, r, 1), 1),
     )
     for run, thetas_per_draw in runs:
         calls.clear()
@@ -585,7 +589,8 @@ def test_every_probe_matches_the_dense_projection(monkeypatch):
     k1, k2 = FbmVolterra(0.6), FbmVolterra(0.4)
     grid = EvalGrid((0.25, 0.5, 1.0), (0.3, 1.0))
     f = StepFunction((0.0, 0.4, 1.0), (1.0, -2.0))
-    windows = ((0.4, 0.5, 0.3, 0.5), (0.4, 0.6, 0.3, 0.55))
+    settings = WindowScalingSettings(
+        2, (0.1, 0.9, 0.2, 0.8), ((0.4, 0.5, 0.3, 0.5), (0.4, 0.6, 0.3, 0.55)))
     models = (unit_jump_poisson(), LevyModel(sigma=0.5, jump_rate=1.0,
                                              jump_dist=Deterministic(1.0)))
     for model in models:
@@ -593,7 +598,7 @@ def test_every_probe_matches_the_dense_projection(monkeypatch):
         generate_replicates(cos_spec, k1, k2, grid, lat, r, 3)
         generate_coupled_replicates(cos_spec, k1, k2, grid, lat, r, 4)
         bilinear_moment_probe(sin_spec, f, f, lat, r, 5)
-        window_scaling_probe(cos_spec, k1, k2, 2, (0.1, 0.9, 0.2, 0.8), windows, lat, r, 6)
+        window_scaling_probe(cos_spec, k1, k2, settings, lat, r, 6)
     generate_replicates(kac_stroock(50.0), k1, k2, grid, lat, r, 7)
     assert len(calls) == 9
     for call in calls:
@@ -792,8 +797,8 @@ def test_window_scaling_moments_match_exact_parity_formula():
     spec = kac_stroock(n)
     windows = ((0.5, 0.75, 0.5, 0.75), (0.5, 0.9, 0.5, 0.9))
     report = window_scaling_probe(
-        spec, Indicator(), Indicator(), m_order=2,
-        base_rect=(0.0, 1.0, 0.0, 1.0), windows=windows,
+        spec, Indicator(), Indicator(),
+        WindowScalingSettings(m_order=2, base_rect=(0.0, 1.0, 0.0, 1.0), windows=windows),
         lattice=lat, replicates=20000, master_seed=11,
     )
     cov = exact_parity_covariance_tensor(n, lat)
@@ -813,10 +818,10 @@ def test_window_scaling_slope_near_one_for_second_moment():
         (0.4, 0.4 + w, 0.4, 0.4 + w) for w in (0.1, 0.16, 0.24, 0.32)
     )
     report = window_scaling_probe(
-        spec, Indicator(), Indicator(), m_order=2,
-        base_rect=(0.0, 1.0, 0.0, 1.0), windows=windows,
+        spec, Indicator(), Indicator(),
+        WindowScalingSettings(m_order=2, base_rect=(0.0, 1.0, 0.0, 1.0), windows=windows,
+                              gamma=0.5),
         lattice=Lattice(64), replicates=1200, master_seed=99,
-        predicted_gamma=0.5,
     )
     assert not report.heavy_tail
     assert 0.8 < report.slope < 1.2
@@ -830,26 +835,33 @@ def test_window_scaling_heavy_tail_flag():
     spec = kac_stroock(50.0)
     windows = ((0.4, 0.5, 0.4, 0.5), (0.4, 0.7, 0.4, 0.7))
     report = window_scaling_probe(
-        spec, Indicator(), Indicator(), m_order=4,
-        base_rect=(0.0, 1.0, 0.0, 1.0), windows=windows,
+        spec, Indicator(), Indicator(),
+        WindowScalingSettings(m_order=4, base_rect=(0.0, 1.0, 0.0, 1.0), windows=windows),
         lattice=Lattice(16), replicates=8, master_seed=3,
     )
     assert report.heavy_tail is True
 
 
 def test_window_scaling_validation():
-    spec = kac_stroock(10.0)
+    """The probe's settings are checked where they are built; valid ones
+    hold floats."""
     ok = ((0.4, 0.5, 0.4, 0.5), (0.4, 0.7, 0.4, 0.7))
-    with pytest.raises(OutOfRange):
-        window_scaling_probe(spec, Indicator(), Indicator(), 3,
-                             (0.0, 1.0, 0.0, 1.0), ok, Lattice(8), 10, 1)
-    with pytest.raises(OutOfRange):
-        window_scaling_probe(spec, Indicator(), Indicator(), 2,
-                             (0.0, 1.0, 0.0, 1.0), ok[:1], Lattice(8), 10, 1)
-    bad = ((0.4, 0.85, 0.4, 0.5),)  # s0' >= 2 s0
-    with pytest.raises(OutOfRange):
-        window_scaling_probe(spec, Indicator(), Indicator(), 2,
-                             (0.0, 1.0, 0.0, 1.0), bad + ok[:1], Lattice(8), 10, 1)
+    whole = (0.0, 1.0, 0.0, 1.0)
+    with pytest.raises(OutOfRange, match="m_order"):
+        WindowScalingSettings(3, whole, ok)
+    with pytest.raises(OutOfRange, match="two windows"):
+        WindowScalingSettings(2, whole, ok[:1])
+    with pytest.raises(OutOfRange, match="s-range"):  # s0' >= 2 s0
+        WindowScalingSettings(2, whole, ((0.4, 0.85, 0.4, 0.5),) + ok[:1])
+    with pytest.raises(OutOfRange, match="t-range"):  # t0' > 1
+        WindowScalingSettings(2, whole, ok[:1] + ((0.6, 0.7, 0.6, 1.1),))
+    with pytest.raises(OutOfRange, match="base_rect"):
+        WindowScalingSettings(2, (0.5, 0.25, 0.0, 1.0), ok)
+    settings = WindowScalingSettings(2, (0, 1, 0, 1), [[0.4, 0.5, 0.4, 0.5], [0.4, 0.7, 0.4, 0.7]],
+                                     gamma=1)
+    assert settings == WindowScalingSettings(2, whole, ok, gamma=1.0)
+    assert all(type(v) is float for v in (*settings.base_rect, *settings.windows[0],
+                                          settings.gamma))
 
 
 def test_window_scaling_probe_matches_inline_mask_reference(monkeypatch):
@@ -871,7 +883,8 @@ def test_window_scaling_probe_matches_inline_mask_reference(monkeypatch):
         return engine(specs, lattice, left, right, *rest)
 
     monkeypatch.setattr(harness, "_project_replicates", capturing)
-    report = window_scaling_probe(spec, k1, k2, 2, base, windows, lat, r, seed)
+    report = window_scaling_probe(spec, k1, k2, WindowScalingSettings(2, base, windows),
+                                  lat, r, seed)
 
     s, s2, t, t2 = base
     mids = lat.midpoints()
@@ -923,6 +936,11 @@ def test_gaussianity_accepts_matching_normal():
 def test_gaussianity_validation():
     with pytest.raises(InsufficientReplicates):
         gaussianity_test(np.zeros(100), 1.0)
+    require_ks_samples(500)
+    with pytest.raises(InsufficientReplicates, match="needs >= 500 samples, got 499"):
+        require_ks_samples(499)
+    with pytest.raises(OutOfRange, match="one-dimensional"):
+        gaussianity_test(np.zeros((2, 600)), 1.0)
     with pytest.raises(OutOfRange):
         gaussianity_test(np.zeros(600), 0.0)
     with pytest.raises(OutOfRange):

@@ -36,21 +36,21 @@ ROOT2 = math.sqrt(2.0)
 
 def test_unit_jump_poisson_exponent_spot_values():
     model = unit_jump_poisson()
-    ev = exponent(model, math.pi)
+    psi = exponent(model, math.pi)
     # 1 - cos(pi) is exact in floating point; sin(pi) only nearly so
-    assert ev.a == 2.0
-    assert abs(ev.b) < 1e-15
-    ev1 = exponent(model, 1.0)
-    assert ev1.a == pytest.approx(1.0 - math.cos(1.0), rel=1e-15)
-    assert ev1.b == pytest.approx(-math.sin(1.0), rel=1e-15)
+    assert psi.real == 2.0
+    assert abs(psi.imag) < 1e-15
+    psi1 = exponent(model, 1.0)
+    assert psi1.real == pytest.approx(1.0 - math.cos(1.0), rel=1e-15)
+    assert psi1.imag == pytest.approx(-math.sin(1.0), rel=1e-15)
 
 
 def test_gaussian_drift_exponent_hand_values():
     model = LevyModel(sigma=2.0, drift=-1.5, jump_rate=0.0, jump_dist=None)
     for xi in (0.3, 1.0, -2.0):
-        ev = exponent(model, xi)
-        assert ev.a == pytest.approx(2.0 * xi * xi, rel=1e-15)
-        assert ev.b == pytest.approx(1.5 * xi, rel=1e-15)
+        psi = exponent(model, xi)
+        assert psi.real == pytest.approx(2.0 * xi * xi, rel=1e-15)
+        assert psi.imag == pytest.approx(1.5 * xi, rel=1e-15)
 
 
 def test_exponent_real_part_nonnegative_random_models():
@@ -63,14 +63,14 @@ def test_exponent_real_part_nonnegative_random_models():
             jump_dist=GaussianJump(float(rng.uniform(-1, 1)), float(rng.uniform(0.1, 2))),
         )
         xi = float(rng.uniform(-10, 10))
-        assert exponent(model, xi).a >= 0.0
+        assert exponent(model, xi).real >= 0.0
 
 
 def test_psi_matches_parts():
     """a + i b is Psi(xi) = rate (1 - exp(i xi)) for unit Poisson jumps."""
     model = unit_jump_poisson(0.7)
-    ev = exponent(model, 1.3)
-    psi = complex(ev.a, ev.b)
+    psi = exponent(model, 1.3)
+    assert isinstance(psi, complex)
     assert psi == pytest.approx(0.7 * (1.0 - complex(math.cos(1.3), math.sin(1.3))), rel=1e-15)
 
 
@@ -107,8 +107,7 @@ def test_characteristic_function_identity_monte_carlo():
     for model in families:
         draws = sample_increments(model, np.full(n_samples, area), rng)
         for xi in xi_values:
-            ev = exponent(model, xi)
-            target = np.exp(-area * complex(ev.a, ev.b))
+            target = np.exp(-area * exponent(model, xi))
             cos_part = np.cos(xi * draws)
             sin_part = np.sin(xi * draws)
             for emp, theo in (
@@ -144,7 +143,7 @@ def test_min_real_exponent_frozen_value():
 def test_min_real_exponent_brute_force_consistency():
     model = unit_jump_poisson(0.8)
     for theta, m in ((0.7, 4), (1.9, 8), (2.5, 2)):
-        brute = min(exponent(model, k * theta).a for k in range(1, m + 1))
+        brute = min(exponent(model, k * theta).real for k in range(1, m + 1))
         assert min_real_exponent(model, theta, m) == brute
 
 
@@ -152,7 +151,7 @@ def test_check_angle_detects_exact_degeneracy():
     model = unit_jump_poisson()
     theta = 2.0 * math.pi / 3.0
     # 3 * theta = 2 pi with 1 - cos(2 pi) exactly 0.0 in floating point
-    assert exponent(model, 3.0 * theta).a == 0.0
+    assert exponent(model, 3.0 * theta).real == 0.0
     assert check_angle(model, theta, 2)
     assert not check_angle(model, theta, 3)
     assert not check_angle(model, theta, 6)
