@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace as dc_replace
 from datetime import datetime, timezone
 from importlib.metadata import version  # ≈ 15 ms: load it in set-up, not after the draws
 from pathlib import Path
@@ -52,10 +51,8 @@ from .harness import (
 )
 from .kernels import (
     FbmVolterra,
-    check_profile,
-    default_profile,
-    fit_window_profile,
     increment_l2,
+    increment_profile,
     kernel_matrix,
     volterra_constant,
 )
@@ -250,17 +247,8 @@ def _cmd_check_hypotheses(cfg: ExperimentConfig, out: Path) -> list:
     spec = cfg.spec_for_n(n)
     files: list = []
     if "profiles" in wanted:
-        report = {}
-        for name, k in (("kernel1", cfg.kernel1), ("kernel2", cfg.kernel2)):
-            prof = default_profile(k)
-            if prof.regime == "windowed" and prof.m_bound is None:
-                m_bound, beta = fit_window_profile(k, _PROFILE_PAIRS, _PROFILE_WINDOWS)
-                prof = dc_replace(prof, m_bound=m_bound, beta=beta)
-            checked = check_profile(k, prof, _PROFILE_PAIRS, _PROFILE_WINDOWS)
-            report[name] = {
-                "profile": prof.to_json_obj(),
-                "check": checked.to_json_obj(),
-            }
+        report = {name: increment_profile(k, _PROFILE_PAIRS, _PROFILE_WINDOWS)
+                  for name, k in (("kernel1", cfg.kernel1), ("kernel2", cfg.kernel2))}
         _dump_json(out / "profile_report.json", report)
         files.append("profile_report.json")
     if "bilinear" in wanted:
@@ -351,11 +339,19 @@ def run(
         recorded.append(f"master_seed={int(seed)}")
     resolved = apply_overrides(raw_config, recorded)
     cfg = config_from_json_obj(resolved)
-    out = Path(out_dir or cfg.output_dir or _DEFAULT_OUT)
-    out.mkdir(parents=True, exist_ok=True)
     if command not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {command!r}")
-    written = _COMMANDS[command](cfg, out)
+    out = Path(out_dir or cfg.output_dir or _DEFAULT_OUT)
+    created = [d for d in (out, *out.parents) if not d.exists()]  # nearest first
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        written = _COMMANDS[command](cfg, out)
+    except BaseException:
+        # a refused run leaves no directory it made, unless it wrote a file there
+        if not any(out.iterdir()):
+            for d in created:
+                d.rmdir()
+        raise
     provenance = {
         "schema": "sheetforge/provenance/1",
         "command": command,

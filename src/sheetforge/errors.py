@@ -36,10 +36,9 @@ class QuadratureFailure(SheetForgeError, ArithmeticError):
 class ProfileViolation(SheetForgeError):
     """A kernel failed its declared squared-increment growth profile."""
 
-    def __init__(self, message, pair=None, window=None, value=None, bound=None):
+    def __init__(self, message, pair=None, value=None, bound=None):
         super().__init__(message)
         self.pair = pair
-        self.window = window
         self.value = value
         self.bound = bound
 

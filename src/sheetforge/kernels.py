@@ -50,19 +50,14 @@ __all__ = [
     "increment_l2",
     "windowed_increment_l2",
     "l2_quadrature_nodes",
-    "GrowthFunction",
-    "IncrementProfile",
-    "default_profile",
-    "fit_window_profile",
-    "check_profile",
-    "ProfileReport",
+    "increment_profile",
 ]
 
 _INNER_TOL = 1e-8
 _INNER_ORDER = 12
 _OUTER_TOL = 1e-9
 _OUTER_ORDER = 12
-# relative slack of check_profile's bounds, to absorb quadrature error
+# relative slack of increment_profile's pair bounds, to absorb quadrature error
 _PROFILE_REL_TOL = 5e-3
 
 
@@ -333,162 +328,77 @@ def windowed_increment_l2(
     return float(np.sum(diff * diff * wts))
 
 
-# -- growth profiles ------------------------------------------------------
+# -- growth profile -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthFunction(JsonObject):
-    """Monotone comparison function G for increment profiles: G(s) = scale * s^power."""
-
-    scale: float = 1.0
-    power: float = 1.0
-
-    def __post_init__(self):
-        if self.scale <= 0 or self.power <= 0:
-            raise OutOfRange("GrowthFunction needs scale > 0 and power > 0")
-
-    def __call__(self, s: float) -> float:
-        return self.scale * float(s) ** self.power
-
-
-@dataclass(frozen=True)
-class IncrementProfile(JsonObject):
-    """Declared growth of squared kernel increments.
-
-    regime "superlinear": int (dK)^2 <= (G(s2)-G(s))^exponent with
-    exponent > 1 — strong enough on its own.
-    regime "windowed": same bound with exponent in (0, 1], plus the localized
-    condition int_{r0}^{r0'} (dK)^2 dr <= m_bound * (r0'-r0)^beta for every
-    pair and window.
-    """
-
-    regime: str
-    g: GrowthFunction
-    exponent: float
-    m_bound: float | None = None
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.regime not in ("superlinear", "windowed"):
-            raise OutOfRange(f"unknown profile regime {self.regime!r}")
-        if self.regime == "superlinear" and not self.exponent > 1.0:
-            raise OutOfRange("superlinear profile requires exponent > 1")
-        if self.regime == "windowed":
-            if not (0.0 < self.exponent <= 1.0):
-                raise OutOfRange("windowed profile requires exponent in (0, 1]")
-            if (self.m_bound is None) != (self.beta is None):
-                raise OutOfRange("windowed profile needs both m_bound and beta (or neither)")
-            if self.beta is not None and self.beta <= 0:
-                raise OutOfRange("windowed profile beta must be > 0")
-
-
-def default_profile(spec: KernelSpec) -> IncrementProfile:
-    """The natural profile of a family: its squared increments' power, in
-    the superlinear regime when that exceeds 1. Windowed constants
-    (m_bound, beta) are left unset and are fitted empirically when needed."""
-    regime = "superlinear" if spec.power > 1.0 else "windowed"
-    return IncrementProfile(regime, GrowthFunction(), spec.power)
-
-
-def fit_window_profile(
+def increment_profile(
     spec: KernelSpec,
     pairs: Sequence[Tuple[float, float]],
     windows: Sequence[Tuple[float, float]],
-) -> Tuple[float, float]:
-    """Empirical (m_bound, beta) for the windowed condition: fit the envelope
-    of log(windowed integral) against log(window length) across all supplied
-    pairs and windows, then set m_bound as the max observed ratio to the
-    fitted power. Returns (m_bound, beta)."""
-    lens, vals = [], []
-    for (s, s2) in pairs:
-        for (r_lo, r_hi) in windows:
-            v = windowed_increment_l2(spec, s, s2, r_lo, r_hi)
-            if v > 0.0:
-                lens.append(r_hi - r_lo)
-                vals.append(v)
-    if len(vals) < 2:
-        raise OutOfRange("need at least two nonzero windowed integrals to fit")
-    lens = np.array(lens)
-    vals = np.array(vals)
-    # envelope slope: regress the per-length maxima so interior windows do
-    # not drag beta below the worst case
-    order = np.argsort(lens)
-    lens, vals = lens[order], vals[order]
-    uniq: dict = {}
-    for ln, v in zip(lens, vals):
-        uniq[ln] = max(uniq.get(ln, 0.0), v)
-    xs = np.log(np.array(sorted(uniq)))
-    ys = np.log(np.array([uniq[k] for k in sorted(uniq)]))
-    if len(xs) < 2:
-        raise OutOfRange("windows must span at least two distinct lengths")
-    beta = float(np.polyfit(xs, ys, 1)[0])
-    beta = max(beta, 1e-6)
-    m_bound = float(np.max(vals / lens**beta))
-    return m_bound, beta
+) -> dict:
+    """The growth profile of spec's squared increments, checked on pairs:
+    the {"profile", "check"} entry of profile_report.json for one kernel.
 
-
-@dataclass
-class ProfileReport(JsonObject):
-    """Outcome of check_profile: worst slack (bound - value, negative means
-    violation before tolerance) and the pair/window achieving it."""
-
-    regime: str
-    worst_slack: float
-    worst_pair: Tuple[float, float]
-    worst_window: Tuple[float, float] | None
-    checked_pairs: int
-    checked_windows: int
-
-
-def check_profile(
-    spec: KernelSpec,
-    profile: IncrementProfile,
-    pairs: Sequence[Tuple[float, float]],
-    windows: Sequence[Tuple[float, float]] = (),
-) -> ProfileReport:
-    """Verify the declared profile on a grid of pairs (and windows for the
-    windowed regime). Raises ProfileViolation on the first bound exceeded by
-    more than _PROFILE_REL_TOL."""
+    Each pair must obey int (dK)^2 <= (G(s2) - G(s))^power with the unit
+    G(s) = s and the family's power. Above power 1 the regime is
+    "superlinear", strong enough on its own. Otherwise it is "windowed",
+    which adds int_{r_lo}^{r_hi} (dK)^2 dr <= m_bound * (r_hi - r_lo)^beta
+    for every pair and window. (m_bound, beta) are fitted to those same
+    integrals, so that bound cannot fail and its slacks are only reported.
+    Raises ProfileViolation on the first pair exceeding its bound by more
+    than _PROFILE_REL_TOL."""
+    power = spec.power
+    if power <= 0.0:
+        raise OutOfRange("windowed profile requires exponent in (0, 1]")
+    if power > 1.0:
+        regime, integrals, m_bound, beta = "superlinear", [], None, None
+    else:
+        # each (pair, window) integral once: the fit and the slacks both read it
+        regime, integrals = "windowed", [
+            (s, s2, r_lo, r_hi, windowed_increment_l2(spec, s, s2, r_lo, r_hi))
+            for s, s2 in pairs for r_lo, r_hi in windows
+        ]
+        nonzero = [(r_hi - r_lo, v) for _, _, r_lo, r_hi, v in integrals if v > 0.0]
+        if len(nonzero) < 2:
+            raise OutOfRange("need at least two nonzero windowed integrals to fit")
+        # beta is the slope of the log envelope (the largest integral of each
+        # window length), so interior windows do not drag it below the worst case
+        envelope: dict = {}
+        for ln, v in nonzero:
+            envelope[ln] = max(envelope.get(ln, 0.0), v)
+        if len(envelope) < 2:
+            raise OutOfRange("windows must span at least two distinct lengths")
+        xs = sorted(envelope)
+        beta = float(np.polyfit(np.log(xs), np.log([envelope[x] for x in xs]), 1)[0])
+        beta = max(beta, 1e-6)
+        lens, vals = (np.array(column) for column in zip(*nonzero))
+        m_bound = float(np.max(vals / lens**beta))
     if not pairs:
         raise OutOfRange("need at least one (s, s2) pair")
-    worst = math.inf
-    worst_pair = pairs[0]
-    worst_window = None
-    for (s, s2) in pairs:
+    worst, worst_pair, worst_window = math.inf, list(pairs[0]), None
+    for s, s2 in pairs:
         if not (0.0 <= s < s2 <= 1.0):
             raise OutOfRange(f"bad pair ({s}, {s2})")
         value = increment_l2(spec, s, s2)
-        bound = (profile.g(s2) - profile.g(s)) ** profile.exponent
-        slack = bound - value
+        bound = (s2 - s) ** power
         if value > bound * (1.0 + _PROFILE_REL_TOL) + 1e-12:
             raise ProfileViolation(
                 f"squared-increment bound violated at (s={s}, s2={s2}): "
                 f"value={value:.6g} > bound={bound:.6g}",
                 pair=(s, s2), value=value, bound=bound,
             )
+        if bound - value < worst:
+            worst, worst_pair = bound - value, [s, s2]
+    for s, s2, r_lo, r_hi, value in integrals:
+        slack = m_bound * (r_hi - r_lo) ** beta - value
         if slack < worst:
-            worst, worst_pair, worst_window = slack, (s, s2), None
-    n_windows = 0
-    if profile.regime == "windowed" and profile.m_bound is not None:
-        for (s, s2) in pairs:
-            for (r_lo, r_hi) in windows:
-                n_windows += 1
-                value = windowed_increment_l2(spec, s, s2, r_lo, r_hi)
-                bound = profile.m_bound * (r_hi - r_lo) ** profile.beta
-                slack = bound - value
-                if value > bound * (1.0 + _PROFILE_REL_TOL) + 1e-12:
-                    raise ProfileViolation(
-                        f"windowed bound violated at (s={s}, s2={s2}), "
-                        f"window [{r_lo}, {r_hi}]: value={value:.6g} > bound={bound:.6g}",
-                        pair=(s, s2), window=(r_lo, r_hi), value=value, bound=bound,
-                    )
-                if slack < worst:
-                    worst, worst_pair, worst_window = slack, (s, s2), (r_lo, r_hi)
-    return ProfileReport(
-        regime=profile.regime,
-        worst_slack=float(worst),
-        worst_pair=worst_pair,
-        worst_window=worst_window,
-        checked_pairs=len(pairs),
-        checked_windows=n_windows,
-    )
+            worst, worst_pair, worst_window = slack, [s, s2], [r_lo, r_hi]
+    return {
+        # the unit G(s) = s, which profile_report.json has always recorded
+        "profile": {"regime": regime, "g": {"scale": 1.0, "power": 1.0},
+                    "exponent": power, "m_bound": m_bound, "beta": beta},
+        "check": {"regime": regime, "worst_slack": float(worst), "worst_pair": worst_pair,
+                  "worst_window": worst_window, "checked_pairs": len(pairs),
+                  "checked_windows": len(integrals)},
+    }
+

@@ -607,7 +607,27 @@ def test_too_few_replicates_for_gaussianity_draw_and_write_nothing(
     assert payload["error"] == {"type": "InsufficientReplicates",
                                 "message": "gaussianity test needs >= 500 samples, got 499"}
     assert calls == []
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_a_refused_run_leaves_no_directory_it_made(tmp_path, capsys):
+    """A command that refuses before writing a file removes the output
+    directory and the parents it made; a directory that was there before
+    stays as it was."""
+    refused = ["covariance", "--preset", "brownian-baseline", *SMALL,
+               "--set", 'probes=["independence"]', "--out"]
+    code, payload = _cli(capsys, [*refused, str(tmp_path / "new" / "deep")])
+    assert code == 2
+    assert "LevyCos" in payload["error"]["message"]
+    assert list(tmp_path.iterdir()) == []
+    for kept in ({}, {"notes.txt": "mine"}):
+        out = tmp_path / f"kept{len(kept)}"
+        out.mkdir()
+        for name, text in kept.items():
+            (out / name).write_text(text)
+        code, _ = _cli(capsys, [*refused, str(out)])
+        assert code == 2
+        assert {p.name: p.read_text() for p in out.iterdir()} == kept
 
 
 def test_covariance_and_sweep_draw_through_the_module_generators(
@@ -632,9 +652,10 @@ def test_covariance_and_sweep_draw_through_the_module_generators(
         assert calls == want
 
 
-def test_unknown_subcommand_rejected_by_run():
+def test_unknown_subcommand_rejected_by_run(tmp_path):
     with pytest.raises(ConfigError, match="unknown subcommand"):
-        run("frobnicate", preset("brownian-baseline"))
+        run("frobnicate", preset("brownian-baseline"), out_dir=str(tmp_path / "u"))
+    assert not (tmp_path / "u").exists()
 
 
 def test_seed_flag_is_recorded_as_an_override(tmp_path, capsys):

@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from sheetforge import (
-    GrowthFunction,
-    IncrementProfile,
     KernelFamily,
     LevyModel,
+    ProfileViolation,
     axis_inner_product,
-    default_profile,
     exponent,
     increment_l2,
+    increment_profile,
     kernel_row,
     sample_increments,
     theoretical_covariance,
@@ -103,8 +102,12 @@ def test_theoretical_covariance_of_a_new_family():
 
 
 def test_default_profile_follows_the_stated_power():
-    assert default_profile(Doubled()) == IncrementProfile("windowed", GrowthFunction(), 1.0)
-    assert default_profile(Steeper()) == IncrementProfile("superlinear", GrowthFunction(), 2.0)
+    steeper = increment_profile(Steeper(), ((0.0, 0.5),), ())["profile"]
+    assert (steeper["regime"], steeper["exponent"]) == ("superlinear", 2.0)
+    # power 1 reads windowed; the increment 4 (s2 - s) exceeds (s2 - s)^1
+    with pytest.raises(ProfileViolation) as exc:
+        increment_profile(Doubled(), ((0.0, 0.5),), ((0.0, 0.25), (0.0, 0.5)))
+    assert exc.value.bound == 0.5 ** 1.0
     # int (sqrt(3) (s2 - s))^2 over (0, s) plus int 3 (s2 - r)^2 over (s, s2)
     s, s2 = 0.2, 0.6
     want = 3.0 * (s2 - s) ** 2 * s + (s2 - s) ** 3

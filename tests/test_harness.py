@@ -24,14 +24,13 @@ from sheetforge import (
     StepFunction,
     axis_inner_product,
     bilinear_moment_probe,
-    check_profile,
-    default_profile,
     default_zero_mean,
     empirical_covariance,
     gaussianity_test,
     generate_coupled_replicates,
     generate_replicates,
     grid_points,
+    increment_profile,
     independence_probe,
     kac_stroock,
     kernel_row,
@@ -419,8 +418,7 @@ def _small_reports():
             kac_stroock(50.0), Indicator(), Indicator(),
             WindowScalingSettings(2, (0.0, 1.0, 0.0, 1.0), windows, gamma=0.5),
             Lattice(16), 20, 3),
-        "profile": lambda: check_profile(
-            FbmVolterra(0.75), default_profile(FbmVolterra(0.75)), [(0.25, 0.5)]),
+        "profile": lambda: increment_profile(FbmVolterra(0.75), [(0.25, 0.5)], ())["check"],
     }
 
 
@@ -444,7 +442,8 @@ def _small_reports():
 ])
 def test_report_json_schema_and_keys(name, schema, keys):
     """The schema string and the exact top-level keys of each written report."""
-    obj = _small_reports()[name]().to_json_obj()
+    report = _small_reports()[name]()
+    obj = report if isinstance(report, dict) else report.to_json_obj()
     assert obj.pop("schema", None) == schema
     assert set(obj) == keys
 

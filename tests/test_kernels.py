@@ -11,20 +11,17 @@ from sheetforge import (
     ConfigError,
     FbmVolterra,
     Goursat,
-    GrowthFunction,
     HolmgrenRL,
-    IncrementProfile,
     Indicator,
     LipschitzDiff,
     OutOfRange,
     ProfileViolation,
-    check_profile,
-    default_profile,
     eval_kernel,
-    fit_window_profile,
     increment_l2,
+    increment_profile,
     kernel_matrix,
     kernel_row,
+    kernels,
     volterra_constant,
     windowed_increment_l2,
 )
@@ -225,69 +222,67 @@ def test_windowed_integrals_sum_to_full_increment():
 # -- increment profiles --------------------------------------------------------
 
 
-def test_default_profile_regimes():
-    assert default_profile(FbmVolterra(0.7)).regime == "superlinear"
-    assert default_profile(FbmVolterra(0.7)).exponent == pytest.approx(1.4)
-    assert default_profile(FbmVolterra(0.4)).regime == "windowed"
-    assert default_profile(Indicator()).exponent == 1.0
-    assert default_profile(HolmgrenRL(0.8)).regime == "superlinear"
-    assert default_profile(Goursat(terms=(((1.0,), (1.0,)),))).regime == "windowed"
-
-
-def test_profile_validation():
-    with pytest.raises(OutOfRange):
-        IncrementProfile("superlinear", GrowthFunction(), 1.0)
-    with pytest.raises(OutOfRange):
-        IncrementProfile("windowed", GrowthFunction(), 1.5)
-    with pytest.raises(OutOfRange):
-        IncrementProfile("windowed", GrowthFunction(), 0.8, m_bound=1.0)
-    with pytest.raises(OutOfRange):
-        IncrementProfile("sideways", GrowthFunction(), 1.0)
-    with pytest.raises(OutOfRange):
-        GrowthFunction(scale=0.0)
-
-
 PAIRS = ((0.0, 0.25), (0.0, 1.0), (0.1, 0.3), (0.25, 0.75), (0.5, 0.9))
 WINDOWS = ((0.0, 0.25), (0.25, 0.5), (0.0, 0.5), (0.4, 1.0), (0.0, 1.0))
+
+
+def test_default_profile_regimes():
+    fbm_smooth = increment_profile(FbmVolterra(0.7), PAIRS, WINDOWS)["profile"]
+    assert fbm_smooth["regime"] == "superlinear"
+    assert fbm_smooth["exponent"] == pytest.approx(1.4)
+    assert increment_profile(FbmVolterra(0.4), PAIRS, WINDOWS)["profile"]["regime"] == "windowed"
+    indicator = increment_profile(Indicator(), PAIRS, WINDOWS)["profile"]
+    assert indicator["regime"] == "windowed"
+    assert indicator["exponent"] == 1.0
+    goursat = Goursat(terms=(((1.0,), (1.0,)),))
+    assert increment_profile(goursat, PAIRS, WINDOWS)["profile"]["regime"] == "windowed"
+    # superlinear (power 1.6), but at s = 0 its increment is 2 pi / 1.6 times s2^1.6
+    with pytest.raises(ProfileViolation) as exc:
+        increment_profile(HolmgrenRL(0.8), ((0.0, 0.25),), WINDOWS)
+    assert exc.value.bound == (0.25 - 0.0) ** 1.6
 
 
 def test_superlinear_profile_holds_with_near_zero_slack():
     # for the fractional kernel the bound is the exact increment identity,
     # so the worst slack is pure quadrature error
-    spec = FbmVolterra(0.7)
-    report = check_profile(spec, default_profile(spec), PAIRS)
-    assert report.regime == "superlinear"
-    assert report.checked_pairs == len(PAIRS)
-    assert abs(report.worst_slack) < 1e-6
+    check = increment_profile(FbmVolterra(0.7), PAIRS, ())["check"]
+    assert check["regime"] == "superlinear"
+    assert check["checked_pairs"] == len(PAIRS)
+    assert abs(check["worst_slack"]) < 1e-6
 
 
 def test_windowed_profile_fit_and_check():
-    spec = FbmVolterra(0.4)
-    m_bound, beta = fit_window_profile(spec, PAIRS, WINDOWS)
-    assert m_bound > 0.0 and 0.0 < beta <= 1.0
-    profile = IncrementProfile(
-        "windowed", GrowthFunction(), 0.8, m_bound=m_bound, beta=beta
-    )
-    report = check_profile(spec, profile, PAIRS, WINDOWS)
-    assert report.checked_windows == len(PAIRS) * len(WINDOWS)
-    assert report.worst_slack >= -1e-9
+    report = increment_profile(FbmVolterra(0.4), PAIRS, WINDOWS)
+    profile, check = report["profile"], report["check"]
+    assert profile["m_bound"] > 0.0 and 0.0 < profile["beta"] <= 1.0
+    assert check["checked_windows"] == len(PAIRS) * len(WINDOWS)
+    assert check["worst_slack"] >= -1e-9
 
 
 def test_profile_violation_raises_with_details():
-    # (s2 - s)^2 is below the indicator increment s2 - s on short pairs
-    bad = IncrementProfile("superlinear", GrowthFunction(), 2.0)
+    # at s = 0 the increment 2 pi / (2 h) * s2^(2 h) exceeds the bound s2^(2 h)
     with pytest.raises(ProfileViolation) as exc:
-        check_profile(Indicator(), bad, ((0.0, 0.5),))
+        increment_profile(HolmgrenRL(0.8), ((0.0, 0.5),), ())
     err = exc.value
     assert err.pair == (0.0, 0.5)
     assert err.value > err.bound
-    # windowed violation: an absurdly small m_bound
-    tiny = IncrementProfile(
-        "windowed", GrowthFunction(), 1.0, m_bound=1e-6, beta=1.0
-    )
-    with pytest.raises(ProfileViolation) as exc:
-        check_profile(Indicator(), tiny, ((0.0, 0.5),), windows=((0.0, 1.0),))
-    assert exc.value.window == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("spec, per_pair", [(FbmVolterra(0.4), 1 + len(WINDOWS)),
+                                            (FbmVolterra(0.7), 1)])
+def test_profile_integrates_each_pair_and_window_once(spec, per_pair, monkeypatch):
+    """A windowed kernel integrates each (pair, window) once, for the fit
+    and the slacks both, and each pair once more (increment_l2); a
+    superlinear kernel integrates each pair only."""
+    calls = []
+
+    def counted(*args, _inner=kernels.windowed_increment_l2):
+        calls.append(args)
+        return _inner(*args)
+
+    monkeypatch.setattr(kernels, "windowed_increment_l2", counted)
+    increment_profile(spec, PAIRS, WINDOWS)
+    assert len(calls) == per_pair * len(PAIRS)
 
 
 # -- serialization -------------------------------------------------------------
