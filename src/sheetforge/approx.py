@@ -60,11 +60,6 @@ class EvalGrid(JsonObject):
         object.__setattr__(self, "s_points", s)
         object.__setattr__(self, "t_points", t)
 
-    @classmethod
-    def square(cls, points: Sequence[float]) -> "EvalGrid":
-        pts = tuple(points)
-        return cls(pts, pts)
-
 
 # -- quadrature matrices ---------------------------------------------------
 

@@ -166,16 +166,6 @@ def _draw(cfg: ExperimentConfig, n: float, seed: int, coupled: bool):
                 Lattice(cfg.lattice_m), cfg.replicates, seed)
 
 
-def _covariance_outputs(cfg, reps, pts, zero_mean, out: Path, stem: str) -> list:
-    theo = theoretical_covariance(cfg.kernel1, cfg.kernel2, pts)
-    report = empirical_covariance(reps, pts, theo, zero_mean)
-    _dump_json(out / f"{stem}.json", report.to_json_obj())
-    with open(out / f"{stem}.txt", "w") as fh:
-        fh.write(report.to_text())
-    report.to_csv(out / f"{stem}.csv")
-    return [f"{stem}.json", f"{stem}.txt", f"{stem}.csv"]
-
-
 def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
     wanted = [p for p in cfg.probes if p in ("covariance", "gaussianity", "independence")]
     if not wanted:
@@ -185,7 +175,6 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
     if "gaussianity" in wanted:
         require_ks_samples(cfg.replicates)
     n = cfg.n_schedule[-1]
-    zero_mean = _resolve_zero_mean(cfg)
     pts = grid_points(cfg.eval_grid)
     files: list = []
     if "independence" in wanted:
@@ -196,7 +185,13 @@ def _cmd_covariance(cfg: ExperimentConfig, out: Path) -> list:
     else:
         reps = _draw(cfg, n, cfg.master_seed, False)
     if "covariance" in wanted:
-        files.extend(_covariance_outputs(cfg, reps, pts, zero_mean, out, "covariance_report"))
+        theo = theoretical_covariance(cfg.kernel1, cfg.kernel2, pts)
+        report = empirical_covariance(reps, pts, theo, _resolve_zero_mean(cfg))
+        _dump_json(out / "covariance_report.json", report.to_json_obj())
+        with open(out / "covariance_report.txt", "w") as fh:
+            fh.write(report.to_text())
+        report.to_csv(out / "covariance_report.csv")
+        files.extend(["covariance_report.json", "covariance_report.txt", "covariance_report.csv"])
     if "gaussianity" in wanted:
         target = (cfg.eval_grid.s_points[-1], cfg.eval_grid.t_points[-1])
         idx = pts.index(target)

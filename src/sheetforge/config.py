@@ -114,13 +114,6 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
     return decode(ExperimentConfig, obj, "config")
 
 
-def _parse_override_value(raw: str):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
 def apply_overrides(obj: dict, overrides: Sequence[str]) -> dict:
     """Apply `dotted.path=json_value` overrides to a raw config object.
     The path must address existing structure (or a known top-level field) —
@@ -141,7 +134,10 @@ def apply_overrides(obj: dict, overrides: Sequence[str]) -> dict:
         leaf = keys[-1]
         if leaf not in target and not (target is out and leaf in field_names(ExperimentConfig)):
             raise ConfigError(f"override path {path!r} does not exist in config")
-        target[leaf] = _parse_override_value(raw)
+        try:
+            target[leaf] = json.loads(raw)
+        except json.JSONDecodeError:
+            target[leaf] = raw
     return out
 
 

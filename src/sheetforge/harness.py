@@ -225,14 +225,8 @@ def empirical_covariance(
     """Per-entry covariance estimate from an (R, P) replicate-by-point value
     array, with moment-based standard errors (sd of the centered products /
     sqrt(R))."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise OutOfRange("values must be (replicates, points)")
+    values = _replicate_values(values, points)
     r, p = values.shape
-    if r < 2:
-        raise InsufficientReplicates(f"need at least 2 replicates, got {r}")
-    if p != len(points):
-        raise OutOfRange("points count does not match values columns")
     theoretical = np.asarray(theoretical, dtype=float)
     if theoretical.shape != (p, p):
         raise OutOfRange("theoretical matrix has wrong shape")
@@ -247,6 +241,23 @@ def empirical_covariance(
         replicates=r,
         zero_mean=zero_mean,
     )
+
+
+def _replicate_values(values: np.ndarray, points: Sequence[Tuple[float, float]]) -> np.ndarray:
+    """values as an (R, P) float array: R >= 2 replicates, one column per point."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[1:] != (len(points),):
+        raise OutOfRange(f"points count {len(points)} does not fit values of shape {values.shape}")
+    if len(values) < 2:
+        raise InsufficientReplicates(f"need at least 2 replicates, got {len(values)}")
+    return values
+
+
+def _power_moment(values: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean over the replicates (axis 0) of values**order, and its standard
+    error sd(ddof=1) / sqrt(R)."""
+    powers = values**order
+    return powers.mean(axis=0), powers.std(axis=0, ddof=1) / math.sqrt(len(values))
 
 
 def _product_moments(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -434,9 +445,7 @@ def bilinear_moment_probe(
     u = f.sample(mids) / lattice.m
     v = g.sample(mids) / lattice.m
     zs = _project_replicates((spec,), lattice, u[None], v[None], replicates, master_seed)[0, :, 0]
-    sq = zs * zs
-    m2 = float(sq.mean())
-    m2_se = float(sq.std(ddof=1) / math.sqrt(replicates))
+    m2, m2_se = map(float, _power_moment(zs, 2))
     denom = c * f.l2_norm_sq() * g.l2_norm_sq()
     if denom > 0.0:
         ratio = MomentEstimate(m2 / denom, m2_se / denom, replicates)
@@ -532,9 +541,7 @@ def window_scaling_probe(
     v_rows = window_quadrature_rows(k2, lattice.m, t, t2, [w[2:] for w in windows])
     proj = _project_replicates((spec,), lattice, u_rows, v_rows, replicates, master_seed)
     incs = proj[0, :, :: len(windows) + 1]  # diagonal of each W x W projection
-    powers = incs**m_order
-    vals = powers.mean(axis=0)
-    ses = powers.std(axis=0, ddof=1) / math.sqrt(replicates)
+    vals, ses = _power_moment(incs, m_order)
     moments = tuple(MomentEstimate(float(v), float(e), replicates) for v, e in zip(vals, ses))
     heavy = bool(np.any(ses > 0.5 * np.maximum(np.abs(vals), 1e-300)))
     areas = tuple((s0p - s0) * (t0p - t0) for s0, s0p, t0, t0p in windows)
@@ -796,15 +803,10 @@ def independence_probe(
     Meaningful on the coupled pair of generate_coupled_replicates, whose
     arrays share their sheet draws: arrays from independent seeds have zero
     cross-covariance by construction."""
-    a = np.asarray(first, dtype=float)
-    b = np.asarray(second, dtype=float)
-    if a.shape[0] != b.shape[0]:
-        raise OutOfRange("replicate counts differ")
-    if a.shape[1:] != (len(points),) or b.shape[1:] != (len(points),):
-        raise OutOfRange("points count does not match values columns")
+    a, b = _replicate_values(first, points), _replicate_values(second, points)
     r = a.shape[0]
-    if r < 2:
-        raise InsufficientReplicates(f"need at least 2 replicates, got {r}")
+    if b.shape[0] != r:
+        raise OutOfRange("replicate counts differ")
     sums, se = _product_moments(a - a.mean(axis=0), b - b.mean(axis=0))
     pts = tuple((float(s), float(t)) for s, t in points)
     return IndependenceReport(

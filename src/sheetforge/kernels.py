@@ -3,8 +3,8 @@ L2-increment geometry.
 
 Supported families (all vanish for r >= t and for t = 0). Each states its
 own facts (see KernelFamily): its values on the support 0 < r < t, the
-power of its squared increments, whether it is singular, and a closed-form
-covariance where there is one.
+power and constant of its squared increments, whether it is singular, and
+a closed-form covariance where there is one.
 
 * FbmVolterra(alpha): the square-integrable kernel representing fractional
   Brownian motion of index alpha as a Wiener integral,
@@ -44,7 +44,6 @@ __all__ = [
     "KernelFamily",
     "KernelSpec",
     "volterra_constant",
-    "eval_kernel",
     "kernel_row",
     "kernel_matrix",
     "increment_l2",
@@ -82,12 +81,15 @@ class KernelFamily(JsonObject):
     on_support(t, r), K(t, r) on an array of 0 < r < t, and overrides the
     defaults below where they do not hold:
     - power p: int_0^1 (K(s2, r) - K(s, r))^2 dr ~ (s2 - s)^p near the diagonal;
+    - increment_constant C: that integral is at most C (s2 - s)^p on every
+      pair, the bound increment_profile checks;
     - singular: K(t, r)^2 ~ x^(power - 1) at its endpoints (x the distance
       to the endpoint), so L2 quadrature grades its panels;
     - covariance(s, s2): int_0^1 K(s, u) K(s2, u) du in closed form, or
       None where only quadrature gives it."""
 
     power = 1.0
+    increment_constant = 1.0
     singular = False
     covariance = None
 
@@ -146,6 +148,15 @@ class HolmgrenRL(KernelFamily):
     @property
     def power(self) -> float:
         return 2.0 * self.h
+
+    @property
+    def increment_constant(self) -> float:
+        """2 pi Gamma(h+1/2)^2 / (Gamma(2h+1) sin(pi h)), from the Mandelbrot-van
+        Ness integral over (-oo, s2]: it bounds the one over [0, s2], which
+        nears it as (s2 - s) / s -> 0."""
+        h = self.h
+        return (2.0 * math.pi * math.gamma(h + 0.5) ** 2
+                / (math.gamma(2.0 * h + 1.0) * math.sin(math.pi * h)))
 
     def on_support(self, t: float, r: np.ndarray) -> np.ndarray:
         return math.sqrt(2.0 * math.pi) * (t - r) ** (self.h - 0.5)
@@ -242,11 +253,11 @@ def _fbm_inner(alpha: float, t: float, r: np.ndarray) -> np.ndarray:
 
 
 def kernel_row(spec: KernelSpec, t: float, r: np.ndarray) -> np.ndarray:
-    """K(t, r) for an array of r values. eval_kernel and kernel_matrix both
-    route through this function, so matrix rows are bit-identical to row
-    evaluation on the same r array (the fractional family adapts its inner
-    quadrature depth to the smallest r in the batch, so evaluations on
-    different batches agree only to quadrature accuracy)."""
+    """K(t, r) for an array of r values. kernel_matrix routes through this
+    function, so matrix rows are bit-identical to row evaluation on the
+    same r array (the fractional family adapts its inner quadrature depth
+    to the smallest r in the batch, so evaluations on different batches
+    agree only to quadrature accuracy)."""
     if not (0.0 <= t <= 1.0):
         raise OutOfRange(f"t={t} must lie in [0, 1]")
     r = np.asarray(r, dtype=float)
@@ -259,13 +270,6 @@ def kernel_row(spec: KernelSpec, t: float, r: np.ndarray) -> np.ndarray:
     if mask.any():
         out[mask] = spec.on_support(t, r[mask])
     return out
-
-
-def eval_kernel(spec: KernelSpec, t: float, r: float) -> float:
-    """Pointwise K(t, r); 0 whenever r <= 0, r >= t, or t = 0."""
-    if not (0.0 <= r <= 1.0):
-        raise OutOfRange(f"r={r} must lie in [0, 1]")
-    return float(kernel_row(spec, t, np.array([r]))[0])
 
 
 def kernel_matrix(spec: KernelSpec, ts: Sequence[float], rs: np.ndarray) -> np.ndarray:
@@ -339,17 +343,23 @@ def increment_profile(
     """The growth profile of spec's squared increments, checked on pairs:
     the {"profile", "check"} entry of profile_report.json for one kernel.
 
-    Each pair must obey int (dK)^2 <= (G(s2) - G(s))^power with the unit
-    G(s) = s and the family's power. Above power 1 the regime is
-    "superlinear", strong enough on its own. Otherwise it is "windowed",
-    which adds int_{r_lo}^{r_hi} (dK)^2 dr <= m_bound * (r_hi - r_lo)^beta
+    Each pair must obey int (dK)^2 <= (G(s2) - G(s))^power = C (s2 - s)^power,
+    with G(s) = C^(1/power) s, C the family's increment_constant and power
+    its power. Above power 1 the regime is "superlinear", strong enough on
+    its own. Otherwise it is "windowed", which adds
+    int_{r_lo}^{r_hi} (dK)^2 dr <= m_bound * (r_hi - r_lo)^beta
     for every pair and window. (m_bound, beta) are fitted to those same
     integrals, so that bound cannot fail and its slacks are only reported.
     Raises ProfileViolation on the first pair exceeding its bound by more
     than _PROFILE_REL_TOL."""
-    power = spec.power
+    power, constant = spec.power, spec.increment_constant
     if power <= 0.0:
         raise OutOfRange("windowed profile requires exponent in (0, 1]")
+    if not pairs:
+        raise OutOfRange("need at least one (s, s2) pair")
+    for s, s2 in pairs:
+        if not (0.0 <= s < s2 <= 1.0):
+            raise OutOfRange(f"bad pair ({s}, {s2})")
     if power > 1.0:
         regime, integrals, m_bound, beta = "superlinear", [], None, None
     else:
@@ -373,14 +383,10 @@ def increment_profile(
         beta = max(beta, 1e-6)
         lens, vals = (np.array(column) for column in zip(*nonzero))
         m_bound = float(np.max(vals / lens**beta))
-    if not pairs:
-        raise OutOfRange("need at least one (s, s2) pair")
     worst, worst_pair, worst_window = math.inf, list(pairs[0]), None
     for s, s2 in pairs:
-        if not (0.0 <= s < s2 <= 1.0):
-            raise OutOfRange(f"bad pair ({s}, {s2})")
         value = increment_l2(spec, s, s2)
-        bound = (s2 - s) ** power
+        bound = constant * (s2 - s) ** power
         if value > bound * (1.0 + _PROFILE_REL_TOL) + 1e-12:
             raise ProfileViolation(
                 f"squared-increment bound violated at (s={s}, s2={s2}): "
@@ -394,8 +400,7 @@ def increment_profile(
         if slack < worst:
             worst, worst_pair, worst_window = slack, [s, s2], [r_lo, r_hi]
     return {
-        # the unit G(s) = s, which profile_report.json has always recorded
-        "profile": {"regime": regime, "g": {"scale": 1.0, "power": 1.0},
+        "profile": {"regime": regime, "g": {"scale": constant ** (1.0 / power), "power": 1.0},
                     "exponent": power, "m_bound": m_bound, "beta": beta},
         "check": {"regime": regime, "worst_slack": float(worst), "worst_pair": worst_pair,
                   "worst_window": worst_window, "checked_pairs": len(pairs),

@@ -35,7 +35,6 @@ __all__ = [
     "exponent",
     "normalizing_constant",
     "min_real_exponent",
-    "check_angle",
     "unit_jump_poisson",
 ]
 
@@ -197,8 +196,3 @@ def min_real_exponent(model: LevyModel, theta: float, m: int) -> float:
     if not isinstance(m, int) or m < 1:
         raise OutOfRange(f"m={m} must be a positive integer")
     return min(exponent(model, k * theta).real for k in range(1, m + 1))
-
-
-def check_angle(model: LevyModel, theta: float, m: int) -> bool:
-    """True iff a(k*theta) > 0 for every k = 1..m."""
-    return min_real_exponent(model, theta, m) > 0.0

@@ -24,7 +24,7 @@ from .errors import DegenerateAngle, OutOfRange
 from .levy import (
     Deterministic,
     LevyModel,
-    check_angle,
+    min_real_exponent,
     normalizing_constant,
     unit_jump_poisson,
 )
@@ -97,7 +97,7 @@ class ThetaSpec:
             raise OutOfRange(f"m_guard={self.m_guard} must be a positive even integer")
         if self.m_guard > _MAX_M_GUARD:
             raise OutOfRange(f"m_guard={self.m_guard} must be at most {_MAX_M_GUARD}")
-        if not check_angle(self.model, self.angle, self.m_guard):
+        if min_real_exponent(self.model, self.angle, self.m_guard) <= 0.0:
             raise DegenerateAngle(
                 f"angle={self.angle} fails the validity check up to m_guard={self.m_guard}"
             )

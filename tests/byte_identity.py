@@ -85,6 +85,13 @@ def matrix() -> Dict[str, Tuple[str, ...]]:
         for command in ("covariance", "simulate", "sweep"):
             runs[f"{command}-{name}"] = (command, *wave, *_set("theta.model", model))
     brownian = ("--preset", "brownian-baseline", *SMALL)
+    # the parity kernel's rate-0 diagnostic (float blocks), and a negative
+    # fixed jump (its count table turns the -0.0 of h * 0 into +0.0)
+    for command in ("covariance", "simulate"):
+        runs[f"{command}-rate-0"] = (command, *brownian, "--set", "theta.model.jump_rate=0")
+    for command in ("covariance", "sweep"):
+        runs[f"{command}-negative-jump"] = (
+            command, *wave, "--set", "theta.model.jump_dist.h=-1")
     runs["error-independence-parity"] = (
         "covariance", *brownian, "--set", 'probes=["independence"]')
     runs["error-tiny-gaussianity"] = (

@@ -35,7 +35,6 @@ from sheetforge import (
     bilinear_moment_probe,
     build_approximation,
     empirical_covariance,
-    eval_kernel,
     exponent,
     gaussianity_test,
     generate_coupled_replicates,
@@ -63,7 +62,7 @@ from sheetforge.kernels import (
 )
 
 from exact_oracle import exact_moments
-from triple_loop import triple_loop_field
+from triple_loop import kernel_at, triple_loop_field
 
 GRID_4X4 = EvalGrid((0.25, 0.5, 0.75, 1.0), (0.25, 0.5, 0.75, 1.0))
 FBM_WAVE_SCHEDULE = tuple(preset("fbm-wave")["n_schedule"])
@@ -122,9 +121,9 @@ def test_criterion_03_half_alpha_degeneracy_and_indicator_build():
     flag = Indicator()
     for t in (0.125, 0.5, 0.75, 1.0):
         for r in (0.0, 0.1, 0.124, 0.125, 0.5, 0.9, 1.0):
-            ok = ok and eval_kernel(half, t, r) == eval_kernel(flag, t, r)
+            ok = ok and kernel_at(half, t, r) == kernel_at(flag, t, r)
             if 0.0 < r < t:
-                ok = ok and eval_kernel(half, t, r) == 1.0
+                ok = ok and kernel_at(half, t, r) == 1.0
 
     theta = realize_theta(kac_stroock(9.0), Lattice(16), 77)
     zeta = integrate_field(theta)

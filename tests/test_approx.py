@@ -48,8 +48,8 @@ def _random_kernel(rng):
 # -- evaluation grid -----------------------------------------------------------
 
 
-def test_eval_grid_validation_and_square():
-    g = EvalGrid.square((0.25, 0.5, 1.0))
+def test_eval_grid_validation():
+    g = EvalGrid([0.25, 0.5, 1], (0.25, 0.5, 1.0))
     assert g.s_points == g.t_points == (0.25, 0.5, 1.0)
     with pytest.raises(OutOfRange):
         EvalGrid((), (0.5,))
@@ -72,7 +72,7 @@ def test_gemm_matches_naive_on_random_instances():
         pts = tuple(sorted(rng.uniform(0.05, 1.0, p)))
         if len(set(pts)) != p:
             continue
-        grid = EvalGrid.square(pts)
+        grid = EvalGrid(pts, pts)
         fast = build_approximation(theta, k1, k2, grid)
         slow = triple_loop_field(theta, k1, k2, grid)
         scale = max(1.0, np.abs(fast).max())
@@ -84,7 +84,7 @@ def test_build_is_bilinear_in_theta():
     m = 16
     v1 = rng.standard_normal((m, m))
     v2 = rng.standard_normal((m, m))
-    grid = EvalGrid.square((0.3, 0.7, 1.0))
+    grid = EvalGrid((0.3, 0.7, 1.0), (0.3, 0.7, 1.0))
     k1, k2 = FbmVolterra(0.6), FbmVolterra(0.4)
     combo = build_approximation(2.0 * v1 - 3.0 * v2, k1, k2, grid)
     x1 = build_approximation(v1, k1, k2, grid)
@@ -95,7 +95,7 @@ def test_build_is_bilinear_in_theta():
 def test_kernel_swap_transposes_the_field():
     rng = np.random.default_rng(12)
     v = rng.standard_normal((12, 12))
-    grid = EvalGrid.square((0.25, 0.6, 0.9))
+    grid = EvalGrid((0.25, 0.6, 0.9), (0.25, 0.6, 0.9))
     k1, k2 = FbmVolterra(0.7), Indicator()
     direct = build_approximation(v, k1, k2, grid)
     swapped = build_approximation(v.T.copy(), k2, k1, grid)
@@ -116,7 +116,8 @@ def test_indicator_kernels_reproduce_integrated_field():
     lat = Lattice(16)
     theta = realize_theta(kac_stroock(100.0), lat, seed=mix64(5, 0))
     zeta = integrate_field(theta)
-    grid = EvalGrid.square(tuple(np.arange(1, 17) / 16))  # the corners i/M
+    corners = tuple(np.arange(1, 17) / 16)  # the corners i/M
+    grid = EvalGrid(corners, corners)
     x = build_approximation(theta, Indicator(), Indicator(), grid)
     np.testing.assert_allclose(x, zeta, rtol=0, atol=1e-12)
 
@@ -139,7 +140,8 @@ def test_window_field_reproduces_rectangle_increment():
     vals = rng.standard_normal((24, 24))
     k1, k2 = FbmVolterra(0.65), FbmVolterra(0.45)
     s, s2, t, t2 = 0.25, 0.7, 0.4, 0.9
-    grid = EvalGrid.square((0.25, 0.4, 0.7, 0.9))  # holds all four corners
+    pts = (0.25, 0.4, 0.7, 0.9)  # holds all four corners
+    grid = EvalGrid(pts, pts)
     x = build_approximation(vals, k1, k2, grid)
     [[y]] = _window_field(vals, k1, k2, s, s2, t, t2, (1.0,))
     # X(s2,t2) - X(s2,t) - X(s,t2) + X(s,t), at grid indices s=0, t=1, s2=2, t2=3
@@ -203,7 +205,7 @@ def test_approx_field_json_round_trip(tmp_path):
         'kernel1={"kind":"fbm_volterra","alpha":0.6}',
         'eval_grid={"s_points":[0.25,0.5,1.0],"t_points":[0.25,0.5,1.0]}',
     ])
-    grid = EvalGrid.square((0.25, 0.5, 1.0))
+    grid = EvalGrid((0.25, 0.5, 1.0), (0.25, 0.5, 1.0))
     x = build_approximation(theta, FbmVolterra(0.6), Indicator(), grid)
     text = (tmp_path / "approx_field.json").read_text()
     assert text.endswith("}\n")
@@ -222,7 +224,7 @@ def test_approx_field_csv_contains_provenance(tmp_path):
     theta, seed, spec = _simulate(tmp_path, 4, 4.0, [
         'eval_grid={"s_points":[0.5,1.0],"t_points":[0.5,1.0]}',
     ])
-    grid = EvalGrid.square((0.5, 1.0))
+    grid = EvalGrid((0.5, 1.0), (0.5, 1.0))
     x = build_approximation(theta, Indicator(), Indicator(), grid)
     lines = (tmp_path / "approx_field.csv").read_text().split("\n")
     assert lines[0].startswith("# sheetforge approxfield v1 provenance=")

@@ -567,9 +567,9 @@ def test_invalid_window_scaling_settings_exit_2(settings, message, tmp_path, cap
 
 
 def test_runtime_probe_failure_exits_3(tmp_path, capsys):
-    # a Holmgren-Riemann-Liouville kernel with h = 0.3 fails its default
-    # growth profile, which only the profiles probe finds, mid-run
-    kernel = '{"kind":"holmgren_rl","h":0.3}'
+    # K = 10 on 0 < r < t has increments 100 (s2 - s) and fails its growth
+    # profile, which only the profiles probe finds, mid-run
+    kernel = '{"kind":"goursat","terms":[[[10.0],[1.0]]]}'
     code, payload = _cli(
         capsys,
         [

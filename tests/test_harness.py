@@ -107,7 +107,7 @@ def test_axis_inner_product_quadrature_matches_closed():
 
 
 def test_theoretical_covariance_product_structure():
-    pts = grid_points(EvalGrid.square((0.25, 0.5, 0.75, 1.0)))
+    pts = grid_points(EvalGrid((0.25, 0.5, 0.75, 1.0), (0.25, 0.5, 0.75, 1.0)))
     cov = theoretical_covariance(Indicator(), Indicator(), pts)
     for i, (s, t) in enumerate(pts):
         for j, (s2, t2) in enumerate(pts):
@@ -123,7 +123,7 @@ def test_theoretical_covariance_product_structure():
 
 
 def test_theoretical_covariance_quadrature_route(monkeypatch):
-    pts = grid_points(EvalGrid.square((0.35, 0.8)))
+    pts = grid_points(EvalGrid((0.35, 0.8), (0.35, 0.8)))
     kernels = ((0.3, 0.7), (0.5, 0.5), (0.7, 0.3))
     closed = [
         theoretical_covariance(FbmVolterra(alpha), FbmVolterra(beta), pts)
@@ -461,7 +461,7 @@ def test_generate_replicates_deterministic_and_prefix_stable():
     """Same (config, seed), same values; replicate r depends on r alone, so a
     shorter run is the first rows of a longer one."""
     spec = kac_stroock(50.0)
-    grid = EvalGrid.square((0.5, 1.0))
+    grid = EvalGrid((0.5, 1.0), (0.5, 1.0))
     lat = Lattice(16)
     one = generate_replicates(spec, Indicator(), Indicator(), grid, lat, 40, 123)
     two = generate_replicates(spec, Indicator(), Indicator(), grid, lat, 40, 123)
@@ -481,7 +481,7 @@ def test_generate_coupled_replicates_sharing_and_validation():
     the same sheets. Only a LevyCos spec makes a pair."""
     cos_spec = levy_cos(unit_jump_poisson(), 100.0, 1.0, m_guard=4)
     sin_spec = levy_sin(unit_jump_poisson(), 100.0, 1.0, m_guard=4)
-    grid = EvalGrid.square((0.5, 1.0))
+    grid = EvalGrid((0.5, 1.0), (0.5, 1.0))
     lat = Lattice(16)
     cset, sset = generate_coupled_replicates(
         cos_spec, Indicator(), Indicator(), grid, lat, 50, 321
@@ -515,7 +515,7 @@ def test_every_replicate_loop_draws_once_per_replicate(monkeypatch):
     monkeypatch.setattr(harness, "theta_values_from_sheet",
                         counting("theta", harness.theta_values_from_sheet))
     lat, r = Lattice(8), 6
-    grid = EvalGrid.square((0.5, 1.0))
+    grid = EvalGrid((0.5, 1.0), (0.5, 1.0))
     k = Indicator()
     cos_spec = levy_cos(unit_jump_poisson(), 20.0, 1.0)
     one = StepFunction((0.0, 1.0), (1.0,))
@@ -545,7 +545,7 @@ def test_the_engine_never_builds_the_field_of_a_count_sheet(monkeypatch):
         return sheets[-1]
 
     monkeypatch.setattr(harness, "simulate_sheet", keeping)
-    lat, k, grid = Lattice(16), Indicator(), EvalGrid.square((0.5, 1.0))
+    lat, k, grid = Lattice(16), Indicator(), EvalGrid((0.5, 1.0), (0.5, 1.0))
     cos_spec = levy_cos(unit_jump_poisson(), 20.0, 1.0)
     generate_replicates(kac_stroock(20.0), k, k, grid, lat, 4, 1)
     generate_coupled_replicates(cos_spec, k, k, grid, lat, 4, 1)
@@ -684,7 +684,7 @@ def test_independence_probe_matches_exact_finite_n_cross_covariance():
     """At finite n the coupled pair is NOT independent; the probe's estimate
     must match the exact discrete cross-covariance (independent oracle)."""
     n, lat = 50.0, Lattice(16)
-    grid = EvalGrid.square((0.5, 1.0))
+    grid = EvalGrid((0.5, 1.0), (0.5, 1.0))
     cos_spec = levy_cos(unit_jump_poisson(), n, 1.0)
     cset, sset = generate_coupled_replicates(
         cos_spec, Indicator(), Indicator(), grid, lat, 20000, 13579
@@ -700,7 +700,7 @@ def test_independence_probe_on_coupled_pair():
     """At large n the finite-n cross-covariance is far below the Monte Carlo
     noise floor and the 5 SE criterion holds."""
     cos_spec = levy_cos(unit_jump_poisson(), 400.0, 1.0)
-    grid = EvalGrid.square((0.5, 1.0))
+    grid = EvalGrid((0.5, 1.0), (0.5, 1.0))
     pts = grid_points(grid)
     cset, sset = generate_coupled_replicates(
         cos_spec, Indicator(), Indicator(), grid, Lattice(64), 1500, 777

@@ -16,7 +16,6 @@ from sheetforge import (
     LipschitzDiff,
     OutOfRange,
     ProfileViolation,
-    eval_kernel,
     increment_l2,
     increment_profile,
     kernel_matrix,
@@ -27,6 +26,8 @@ from sheetforge import (
 )
 from sheetforge.jsonio import decode_kind
 from sheetforge.kernels import KernelSpec
+
+from triple_loop import kernel_at
 
 KERNEL_KINDS = {cls.KIND: cls for cls in typing.get_args(KernelSpec)}
 
@@ -66,19 +67,19 @@ def test_volterra_constant_domain():
 
 def test_fbm_kernel_frozen_spot_values():
     for alpha, t, r, expected in KERNEL_SPOTS:
-        assert eval_kernel(FbmVolterra(alpha), t, r) == pytest.approx(
+        assert kernel_at(FbmVolterra(alpha), t, r) == pytest.approx(
             expected, rel=1e-8
         )
 
 
 def test_kernel_vanishes_outside_support():
     spec = FbmVolterra(0.7)
-    assert eval_kernel(spec, 0.5, 0.0) == 0.0
-    assert eval_kernel(spec, 0.5, 0.5) == 0.0
-    assert eval_kernel(spec, 0.5, 0.9) == 0.0
-    assert eval_kernel(spec, 0.0, 0.0) == 0.0
-    assert eval_kernel(Indicator(), 0.6, 0.599) == 1.0
-    assert eval_kernel(Indicator(), 0.6, 0.6) == 0.0
+    assert kernel_at(spec, 0.5, 0.0) == 0.0
+    assert kernel_at(spec, 0.5, 0.5) == 0.0
+    assert kernel_at(spec, 0.5, 0.9) == 0.0
+    assert kernel_at(spec, 0.0, 0.0) == 0.0
+    assert kernel_at(Indicator(), 0.6, 0.599) == 1.0
+    assert kernel_at(Indicator(), 0.6, 0.6) == 0.0
 
 
 def test_alpha_half_is_exactly_indicator():
@@ -98,26 +99,23 @@ def test_matrix_row_and_pointwise_evaluation_consistent():
     for k, t in enumerate(ts):
         # matrix rows are bit-identical to row evaluation on the same array
         np.testing.assert_array_equal(mat[k], kernel_row(spec, t, rs))
-        # pointwise evaluation is bit-identical to a one-element row; against
-        # a batch row only the quadrature depth may differ (it adapts to the
-        # smallest r in the batch), so agreement there is near machine level
+        # against a batch row, a one-element row differs only in the
+        # quadrature depth (it adapts to the smallest r in the batch), so
+        # agreement there is near machine level
         for j, r in enumerate(rs):
-            assert eval_kernel(spec, t, float(r)) == kernel_row(
-                spec, t, np.array([r])
-            )[0]
-            assert eval_kernel(spec, t, float(r)) == pytest.approx(
+            assert kernel_at(spec, t, float(r)) == pytest.approx(
                 mat[k, j], rel=1e-12, abs=1e-15
             )
 
 
 def test_other_kernel_families_pointwise():
-    assert eval_kernel(HolmgrenRL(0.7), 0.8, 0.3) == pytest.approx(
+    assert kernel_at(HolmgrenRL(0.7), 0.8, 0.3) == pytest.approx(
         math.sqrt(2.0 * math.pi) * 0.5**0.2, rel=1e-12
     )
     goursat = Goursat(terms=(((0.0, 1.0), (1.0, 1.0)),))  # K(t, r) = t (1 + r)
-    assert eval_kernel(goursat, 0.6, 0.25) == pytest.approx(0.75, rel=1e-14)
+    assert kernel_at(goursat, 0.6, 0.25) == pytest.approx(0.75, rel=1e-14)
     table = LipschitzDiff(xs=(0.0, 1.0), ys=(0.0, 2.0))  # K(t, r) = 2 (t - r)
-    assert eval_kernel(table, 0.9, 0.4) == pytest.approx(1.0, rel=1e-14)
+    assert kernel_at(table, 0.9, 0.4) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_kernel_row_validates_arguments():
@@ -129,7 +127,7 @@ def test_kernel_row_validates_arguments():
     with pytest.raises(OutOfRange):
         kernel_row(spec, 0.5, np.array([-0.1]))
     with pytest.raises(OutOfRange):
-        eval_kernel(spec, 0.5, 1.2)
+        kernel_at(spec, 0.5, 1.2)
 
 
 # -- squared increments --------------------------------------------------------
@@ -234,12 +232,14 @@ def test_default_profile_regimes():
     indicator = increment_profile(Indicator(), PAIRS, WINDOWS)["profile"]
     assert indicator["regime"] == "windowed"
     assert indicator["exponent"] == 1.0
+    assert indicator["g"] == {"scale": 1.0, "power": 1.0}
     goursat = Goursat(terms=(((1.0,), (1.0,)),))
     assert increment_profile(goursat, PAIRS, WINDOWS)["profile"]["regime"] == "windowed"
-    # superlinear (power 1.6), but at s = 0 its increment is 2 pi / 1.6 times s2^1.6
-    with pytest.raises(ProfileViolation) as exc:
-        increment_profile(HolmgrenRL(0.8), ((0.0, 0.25),), WINDOWS)
-    assert exc.value.bound == (0.25 - 0.0) ** 1.6
+    # G(s) = C^(1/power) s carries the family's increment constant
+    holmgren = increment_profile(HolmgrenRL(0.8), PAIRS, WINDOWS)["profile"]
+    assert holmgren["regime"] == "superlinear"
+    assert holmgren["exponent"] == pytest.approx(1.6)
+    assert holmgren["g"]["scale"] ** 1.6 == pytest.approx(HolmgrenRL(0.8).increment_constant)
 
 
 def test_superlinear_profile_holds_with_near_zero_slack():
@@ -260,12 +260,41 @@ def test_windowed_profile_fit_and_check():
 
 
 def test_profile_violation_raises_with_details():
-    # at s = 0 the increment 2 pi / (2 h) * s2^(2 h) exceeds the bound s2^(2 h)
+    # K = 10 on 0 < r < t: the increment 100 (s2 - s) exceeds the bound s2 - s
     with pytest.raises(ProfileViolation) as exc:
-        increment_profile(HolmgrenRL(0.8), ((0.0, 0.5),), ())
+        increment_profile(Goursat(terms=(((10.0,), (1.0,)),)), ((0.0, 0.5),), WINDOWS)
     err = exc.value
     assert err.pair == (0.0, 0.5)
-    assert err.value > err.bound
+    assert err.bound == 0.5
+    assert err.value == pytest.approx(50.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [FbmVolterra(0.3), FbmVolterra(0.7)])
+def test_profile_checks_its_pairs_before_it_integrates(spec):
+    """Windowed and superlinear kernels alike refuse an empty pair list or
+    a pair without 0 <= s < s2 <= 1 before any integral is fitted."""
+    with pytest.raises(OutOfRange, match="need at least one"):
+        increment_profile(spec, [], WINDOWS)
+    for pair in ((0.3, 0.3), (0.5, 0.25)):
+        with pytest.raises(OutOfRange, match="bad pair"):
+            increment_profile(spec, [pair], WINDOWS)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.8])
+def test_holmgren_increments_stay_below_the_family_constant(h):
+    """int (dK)^2 <= C_h (s2 - s)^(2h) on every pair. Near the diagonal away
+    from 0 the ratio falls short of C_h only by the part of the (-oo, s2]
+    integral below 0: 2 pi (h-1/2)^2 / (2-2h) s^(2h-2) (s2-s)^(2-2h) to
+    leading order, 1.8e-8 at h = 0.3 and 0.014 at h = 0.8 on (0.99, 0.99001)."""
+    spec = HolmgrenRL(h)
+    c = spec.increment_constant
+    for s, s2 in (*PAIRS, (0.3, 0.31), (0.5, 0.5001)):
+        assert increment_l2(spec, s, s2) <= c * (s2 - s) ** spec.power
+    s, s2 = 0.99, 0.99001
+    tail = 2 * math.pi * (h - 0.5) ** 2 / (2 - 2 * h) * s ** (2 * h - 2) * (s2 - s) ** (2 - 2 * h)
+    ratio = increment_l2(spec, s, s2) / (s2 - s) ** spec.power
+    assert ratio == pytest.approx(c - tail, abs=1e-3)
+    assert HolmgrenRL(0.5).increment_constant == pytest.approx(2 * math.pi, rel=1e-15)
 
 
 @pytest.mark.parametrize("spec, per_pair", [(FbmVolterra(0.4), 1 + len(WINDOWS)),

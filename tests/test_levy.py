@@ -15,8 +15,8 @@ from sheetforge import (
     LevyModel,
     OutOfRange,
     TwoPoint,
-    check_angle,
     exponent,
+    levy_cos,
     min_real_exponent,
     normalizing_constant,
     unit_jump_poisson,
@@ -152,10 +152,16 @@ def test_check_angle_detects_exact_degeneracy():
     theta = 2.0 * math.pi / 3.0
     # 3 * theta = 2 pi with 1 - cos(2 pi) exactly 0.0 in floating point
     assert exponent(model, 3.0 * theta).real == 0.0
-    assert check_angle(model, theta, 2)
-    assert not check_angle(model, theta, 3)
-    assert not check_angle(model, theta, 6)
-    assert check_angle(model, 1.0, 6)
+    assert min_real_exponent(model, theta, 2) > 0.0
+    assert min_real_exponent(model, theta, 3) == 0.0
+    assert min_real_exponent(model, theta, 6) == 0.0
+    assert min_real_exponent(model, 1.0, 6) > 0.0
+    # a wave spec refuses the angle once its (even) horizon reaches k = 3
+    levy_cos(model, 10.0, theta, m_guard=2)
+    levy_cos(model, 10.0, 1.0, m_guard=6)
+    for m_guard in (4, 6):
+        with pytest.raises(DegenerateAngle, match="fails the validity check"):
+            levy_cos(model, 10.0, theta, m_guard=m_guard)
 
 
 def test_min_real_exponent_validates_horizon():

@@ -9,11 +9,16 @@ midpoint sum
     X_n(s_k, t_l) = sum_i sum_j A[k, i] Theta[i, j] B[l, j]
 
 one term at a time, against which the library's two dense matrix products
-are checked."""
+are checked. kernel_at reads one kernel value."""
 import numpy as np
 
-from sheetforge import quadrature_rows
+from sheetforge import kernel_row, quadrature_rows
 from sheetforge.theta import _jump_values
+
+
+def kernel_at(spec, t: float, r: float) -> float:
+    """K(t, r) at one point: a one-element kernel_row."""
+    return float(kernel_row(spec, t, np.array([r]))[0])
 
 
 def sheet_field(sheet) -> np.ndarray:
