@@ -10,6 +10,7 @@ value array.
 """
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
@@ -708,7 +709,7 @@ def _kolmogorov_sf(n: int, d: float) -> float:
     which implements the same paper, so the result has its bytes."""
     if n <= 140:
         raise OutOfRange(f"the KS survival function here needs n > 140, got {n}")
-    from scipy import special  # here, so runs without the KS probe never load scipy
+    from scipy import special  # loaded by require_ks_samples; only the KS probe needs it
 
     # A 0-d array, the operand scipy's kolmogn iterates with: x**1.5 must
     # run through the same power loop.
@@ -739,9 +740,13 @@ def _kolmogorov_sf(n: int, d: float) -> float:
 
 
 def require_ks_samples(count: int) -> None:
-    """The Gaussianity probe's sample floor: InsufficientReplicates below 500."""
+    """The Gaussianity probe's sample floor: InsufficientReplicates below 500.
+    Past the floor it loads scipy.special (about 0.15 s), whose ndtr and
+    smirnov the probe calls: the CLI checks the floor before its first
+    draw, so the import is set-up, not replicate time."""
     if count < 500:
         raise InsufficientReplicates(f"gaussianity test needs >= 500 samples, got {count}")
+    importlib.import_module("scipy.special")
 
 
 def gaussianity_test(samples: np.ndarray, sigma2_theory: float) -> GaussianityReport:

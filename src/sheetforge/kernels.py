@@ -21,7 +21,10 @@ a closed-form covariance where there is one.
 
 The singular inner integral of FbmVolterra uses the substitution
 u = r + v^2 (making the integrand bounded) followed by Gauss-Legendre on
-dyadic panels accumulating at v = 0; absolute target 1e-8.
+dyadic panels accumulating at v = 0; absolute target 1e-8. It runs on
+blocks of _INNER_CHUNK values of r, so its temporaries take O(_INNER_CHUNK
+x nodes) memory whatever the row length. c_a comes from a port of Cephes'
+Gamma with scipy.special.gamma's bits, so no kernel loads scipy.
 """
 from __future__ import annotations
 
@@ -54,10 +57,51 @@ __all__ = [
 
 _INNER_TOL = 1e-8
 _INNER_ORDER = 12
+# values of r per block of the fbm inner quadrature: its temporaries are
+# _INNER_CHUNK x nodes (about 110 kB), not M x nodes
+_INNER_CHUNK = 64
 _OUTER_TOL = 1e-9
 _OUTER_ORDER = 12
 # relative slack of increment_profile's pair bounds, to absorb quadrature error
 _PROFILE_REL_TOL = 5e-3
+
+
+# Cephes' Gamma on [2, 3): Gamma(2 + x) = P(x) / Q(x), highest degree first
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _polevl(x: float, coeffs: Tuple[float, ...]) -> float:
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for 0 < x <= 33 by Cephes' Gamma, the routine behind
+    scipy.special.gamma, operation for operation, so it returns scipy's
+    bits (math.gamma differs in the last digit on most arguments): a
+    recurrence onto [2, 3), then the rational fit there; below 1e-9,
+    Gamma(x) = 1 / ((1 + euler_gamma x) x)."""
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + _EULER_GAMMA * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
 
 
 def volterra_constant(alpha: float) -> float:
@@ -65,14 +109,14 @@ def volterra_constant(alpha: float) -> float:
 
         ( 2 alpha Gamma(3/2-alpha) / (Gamma(alpha+1/2) Gamma(2-2 alpha)) )^(1/2)
 
-    Equals 1 at alpha = 1/2. Defined for 0 < alpha < 1 only.
+    Equals 1 at alpha = 1/2. Defined for 0 < alpha < 1 only. Gamma is
+    _gamma, so the value has the bits of the same formula on
+    scipy.special.gamma.
     """
     if not (0.0 < alpha < 1.0):
         raise OutOfRange(f"alpha={alpha} must lie in (0, 1)")
-    from scipy import special  # here, so Indicator-kernel runs never load scipy
-
-    num = 2.0 * alpha * special.gamma(1.5 - alpha)
-    den = special.gamma(alpha + 0.5) * special.gamma(2.0 - 2.0 * alpha)
+    num = 2.0 * alpha * _gamma(1.5 - alpha)
+    den = _gamma(alpha + 0.5) * _gamma(2.0 - 2.0 * alpha)
     return math.sqrt(num / den)
 
 
@@ -240,16 +284,22 @@ def _fbm_inner(alpha: float, t: float, r: np.ndarray) -> np.ndarray:
 
         2 V^(2 alpha - 1) * int_0^1 w^(2 alpha - 2) (1 - (r/(r + V^2 w^2))^(1/2-alpha)) dw
 
-    whose integrand is bounded at w = 0 for every alpha in (0, 1).
+    whose integrand is bounded at w = 0 for every alpha in (0, 1). One
+    node set, at the depth the smallest r of the whole batch needs, serves
+    every block of _INNER_CHUNK values; each value's sum runs over its own
+    row, so the blocks give the bytes of one (r.size, nodes) evaluation.
     """
     V = np.sqrt(t - r)
     depth = _fbm_inner_depth(alpha, float(r.min()))
     w, om = dyadic_unit_nodes(depth, _INNER_ORDER)
-    rr = r[:, None]
-    vw2 = (V * V)[:, None] * (w * w)[None, :]
-    g = 1.0 - (rr / (rr + vw2)) ** (0.5 - alpha)
-    vals = w[None, :] ** (2.0 * alpha - 2.0) * g
-    return 2.0 * V ** (2.0 * alpha - 1.0) * np.sum(vals * om[None, :], axis=-1)
+    V2, w2, w_pow = (V * V)[:, None], (w * w)[None, :], w[None, :] ** (2.0 * alpha - 2.0)
+    sums = np.empty_like(r)
+    for lo in range(0, r.size, _INNER_CHUNK):
+        rr = r[lo:lo + _INNER_CHUNK, None]
+        vw2 = V2[lo:lo + _INNER_CHUNK] * w2
+        g = 1.0 - (rr / (rr + vw2)) ** (0.5 - alpha)
+        sums[lo:lo + _INNER_CHUNK] = np.sum(w_pow * g * om[None, :], axis=-1)
+    return 2.0 * V ** (2.0 * alpha - 1.0) * sums
 
 
 def kernel_row(spec: KernelSpec, t: float, r: np.ndarray) -> np.ndarray:

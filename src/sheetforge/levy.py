@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -187,11 +188,15 @@ def normalizing_constant(model: LevyModel, theta: float) -> float:
     return (a * a + b * b) / a / math.sqrt(2.0)
 
 
+@lru_cache(maxsize=64, typed=True)
 def min_real_exponent(model: LevyModel, theta: float, m: int) -> float:
     """min of a(k*theta) over k = 1..m.
 
     A result of 0 is allowed and flags an invalid angle for the moment
     bounds; m must be a positive integer (the moment order in use).
+    Every ThetaSpec construction asks for it (m up to 10 000, about 7 ms),
+    so each (model, theta, m) is evaluated once per process; typed keeps
+    m = 2.0 a refusal after m = 2 has been cached.
     """
     if not isinstance(m, int) or m < 1:
         raise OutOfRange(f"m={m} must be a positive integer")

@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 _KINDS = ("KacStroock", "LevyCos", "LevySin")
-# the angle check evaluates one exponent per step up to m_guard, about 4 us
-# each, on every spec construction
+# the angle check evaluates one exponent per step up to m_guard, about 0.7 us
+# each, once per (model, angle, m_guard) in a process
 _MAX_M_GUARD = 10_000
 # a fixed-jump sheet holds about 32 bytes per jump at its peak (uniforms,
 # cell indices), so this many expected jumps per draw ask for about 320 MB

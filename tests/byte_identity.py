@@ -92,6 +92,9 @@ def matrix() -> Dict[str, Tuple[str, ...]]:
     for command in ("covariance", "sweep"):
         runs[f"{command}-negative-jump"] = (
             command, *wave, "--set", "theta.model.jump_dist.h=-1")
+    # at M = 1024 an fbm row runs its inner quadrature in up to 16 blocks of 64 values
+    runs["sweep-m1024"] = ("sweep", "--preset", "fbm-wave",
+                           "--set", "lattice_m=1024", "--set", "replicates=10")
     runs["error-independence-parity"] = (
         "covariance", *brownian, "--set", 'probes=["independence"]')
     runs["error-tiny-gaussianity"] = (

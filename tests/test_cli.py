@@ -31,7 +31,7 @@ from sheetforge import (
     preset,
     realize_theta,
 )
-from sheetforge import cli
+from sheetforge import cli, levy
 from sheetforge.cli import main, run
 from sheetforge.config import PRESET_NAMES
 
@@ -530,6 +530,26 @@ def test_largest_m_guard_loads():
     obj = preset("fbm-wave")
     obj["theta"]["m_guard"] = 10_000
     assert config_from_json_obj(obj).spec_for_n(25.0).m_guard == 10_000
+
+
+def test_a_sweep_checks_its_angle_once(tmp_path, capsys, monkeypatch):
+    """Config load, the zero-mean default, every draw and the derived
+    constants each build a ThetaSpec, and each spec asks for the m_guard
+    angle check: one sweep evaluates those m_guard exponents once."""
+    levy.min_real_exponent.cache_clear()
+    calls = []
+    exponent = levy.exponent
+
+    def counted(*args):
+        calls.append(args)
+        return exponent(*args)
+
+    monkeypatch.setattr(levy, "exponent", counted)
+    argv = ["sweep", "--preset", "fbm-wave", *SMALL, "--set", "n_schedule=[4.0,9.0,16.0]",
+            "--set", "theta.m_guard=10000", "--out", str(tmp_path / "o")]
+    code, _ = _cli(capsys, argv)
+    assert code == 0
+    assert 10_000 <= len(calls) <= 10_000 + 20
 
 
 def test_missing_config_file_exits_4(tmp_path, capsys):

@@ -1,14 +1,17 @@
-"""What a run loads, and when. Importing scipy.special took about half of
-every CLI run's set-up, and only the fbm Volterra constant (gamma) and the
-KS probe (ndtr, smirnov) call it. So `import sheetforge.cli` loads no scipy
-module, an Indicator-kernel run never loads scipy, and an fbm run loads
-scipy.special while it builds the kernel rows, before its first sheet draw.
-No run loads a module after its first draw, so set-up cost stays out of the
-replicate timings."""
+"""What a run loads, and when. Importing scipy.special takes 0.1-0.2 s and
+about 16 MB, and only the KS probe (ndtr, smirnov) calls it: the fbm
+Volterra constant's Gamma is a port with scipy's bits. So
+`import sheetforge.cli` loads no scipy module, and no run without the
+Gaussianity probe loads scipy, whatever its kernels. A run with that probe
+loads scipy.special in set-up, where the CLI checks the probe's sample
+floor, before its first sheet draw. No run loads a module after its first
+draw, so set-up cost stays out of the replicate timings."""
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -59,3 +62,13 @@ def test_fbm_run_loads_scipy_special_before_the_first_draw(tmp_path):
     out = _run(RUN_PROBE, "covariance", "--preset", "fbm-wave",
                "--set", "lattice_m=16", "--set", "replicates=500", "--out", str(tmp_path))
     assert out[-1] == "0 True True []"
+
+
+@pytest.mark.parametrize("command, args", [
+    ("sweep", ()),
+    ("check-hypotheses", ("--set", 'probes=["profiles","bilinear","window-scaling"]')),
+], ids=["sweep", "check-hypotheses"])
+def test_fbm_run_without_the_ks_probe_never_loads_scipy(tmp_path, command, args):
+    out = _run(RUN_PROBE, command, "--preset", "fbm-wave", *args,
+               "--set", "lattice_m=16", "--set", "replicates=50", "--out", str(tmp_path))
+    assert out[-1] == "0 False False []"

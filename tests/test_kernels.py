@@ -25,7 +25,9 @@ from sheetforge import (
     windowed_increment_l2,
 )
 from sheetforge.jsonio import decode_kind
-from sheetforge.kernels import KernelSpec
+from sheetforge.kernels import KernelSpec, _fbm_inner_depth, _gamma
+from sheetforge.quadrature import dyadic_unit_nodes
+from sheetforge.sheet import Lattice
 
 from triple_loop import kernel_at
 
@@ -63,6 +65,73 @@ def test_volterra_constant_domain():
 
 
 # -- pointwise kernel values ---------------------------------------------------
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _volterra_alphas() -> np.ndarray:
+    """A dense grid over (0, 1), and alpha within 1e-10 of each end: there
+    2 - 2 alpha < 1e-9 reaches Cephes' small-argument branch."""
+    ends = np.logspace(-16, -10, 25)
+    return np.concatenate([np.linspace(0.0, 1.0, 20_001)[1:-1], ends, 1.0 - ends,
+                           [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]])
+
+
+def test_gamma_port_has_scipy_bits_on_every_volterra_argument():
+    special = pytest.importorskip("scipy.special")
+    alphas = _volterra_alphas()
+    args = np.concatenate([1.5 - alphas, alphas + 0.5, 2.0 - 2.0 * alphas])
+    assert (args < 1e-9).any()
+    ours = [_gamma(float(x)) for x in args]
+    assert np.array_equal(_bits(ours), _bits(special.gamma(args)))
+
+
+def test_gamma_port_has_scipy_bits_on_random_arguments():
+    special = pytest.importorskip("scipy.special")
+    args = np.random.default_rng(28).uniform(0.0, 3.5, 100_000)
+    ours = [_gamma(float(x)) for x in args]
+    assert np.array_equal(_bits(ours), _bits(special.gamma(args)))
+
+
+def test_volterra_constant_has_the_bits_of_the_scipy_formula():
+    special = pytest.importorskip("scipy.special")
+    for alpha in _volterra_alphas()[::7]:
+        alpha = float(alpha)
+        num = 2.0 * alpha * special.gamma(1.5 - alpha)
+        den = special.gamma(alpha + 0.5) * special.gamma(2.0 - 2.0 * alpha)
+        assert _bits(volterra_constant(alpha)) == _bits(math.sqrt(num / den))
+
+
+def _fbm_row_unchunked(alpha: float, t: float, r: np.ndarray) -> np.ndarray:
+    """K(t, r) of FbmVolterra(alpha), its inner quadrature evaluated on all
+    of the support at once as one (values, nodes) array."""
+    out = np.zeros_like(r)
+    mask = (r > 0.0) & (r < t)
+    if not mask.any():
+        return out
+    rs = r[mask]
+    V = np.sqrt(t - rs)
+    w, om = dyadic_unit_nodes(_fbm_inner_depth(alpha, float(rs.min())),
+                              kernels._INNER_ORDER)
+    rr = rs[:, None]
+    vw2 = (V * V)[:, None] * (w * w)[None, :]
+    g = 1.0 - (rr / (rr + vw2)) ** (0.5 - alpha)
+    vals = w[None, :] ** (2.0 * alpha - 2.0) * g
+    inner = 2.0 * V ** (2.0 * alpha - 1.0) * np.sum(vals * om[None, :], axis=-1)
+    c = volterra_constant(alpha)
+    out[mask] = c * (t - rs) ** (alpha - 0.5) + c * (0.5 - alpha) * inner
+    return out
+
+
+@pytest.mark.parametrize("m", [1000, 4096])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.8])
+def test_chunked_fbm_rows_have_the_bytes_of_one_block(m, alpha):
+    mids = Lattice(m).midpoints()
+    ts = [0.1, 0.25, 0.5, 0.75, 1.0]
+    want = np.array([_fbm_row_unchunked(alpha, t, mids) for t in ts])
+    assert np.array_equal(_bits(kernel_matrix(FbmVolterra(alpha), ts, mids)), _bits(want))
 
 
 def test_fbm_kernel_frozen_spot_values():
